@@ -21,7 +21,7 @@ from .engine import BatchOp, RetrievalEngine
 from .params import SystemParameters
 from ..crypto.pipeline import PIPELINE_MODES, KeystreamPipeline
 from ..crypto.rng import SecureRandom
-from ..errors import ConfigurationError, PageDeletedError
+from ..errors import ConfigurationError
 from ..hardware.cache import RANDOM_POLICY
 from ..hardware.coprocessor import SecureCoprocessor, SecureStorageReport
 from ..hardware.specs import HardwareSpec
@@ -303,45 +303,26 @@ class PirDatabase:
         independent of page state) before a deleted page raises
         :class:`PageDeletedError`.
         """
-        page = self.engine.retrieve(page_id)
-        # Emit before raising: the engine already executed the full trace,
-        # so the cover record must be appended either way or the stream
-        # would fall out of step with the request count.
-        self._emit("noop")
-        if self.cop.page_map.is_deleted(page_id):
-            raise PageDeletedError(f"page {page_id} is deleted")
-        return page.payload
+        return self._run_one(BatchOp("query", page_id=page_id))
 
     def update(self, page_id: int, payload: bytes) -> None:
         """Replace the payload of an existing page (§4.3 modification)."""
-        self.engine.modify(page_id, payload)
-        self._emit("write", page_id, payload)
+        self._run_one(BatchOp("update", page_id=page_id, payload=payload))
 
     def insert(self, payload: bytes) -> int:
         """Add a new page, consuming one reserved free slot; returns its id."""
-        new_id = self.engine.insert(payload)
-        # Replicated as a write at the chosen id: peers revive the same
-        # reserve page via modify(), so ids converge across the cluster.
-        self._emit("write", new_id, payload)
-        return new_id
+        return self._run_one(BatchOp("insert", payload=payload))
 
     def delete(self, page_id: int) -> None:
         """Remove a page; its storage becomes available to ``insert`` (§4.3)."""
-        self.engine.delete(page_id)
-        self._emit("delete", page_id)
+        self._run_one(BatchOp("delete", page_id=page_id))
 
     def touch(self) -> None:
         """Issue a dummy request to keep the background reshuffle mixing."""
-        self.engine.touch()
-        self._emit("noop")
+        self._run_one(BatchOp("touch"))
 
-    def _emit(self, kind: str, page_id: int = 0, payload: bytes = b"") -> None:
-        if self.replication is not None:
-            self.replication.emit(kind, page_id, payload)
-
-    def run_batch(self, ops: Sequence[BatchOp],
-                  window: Optional[int] = None) -> List[object]:
-        """Execute a batch through the fused one-disk-pass-per-window path.
+    def run_batch(self, ops: Sequence[BatchOp]) -> List[object]:
+        """Execute a batch in windows of one disk pass each.
 
         Ops are grouped into round-robin windows of up to ``k`` operations;
         each window reads the k-frame block once and commits one journaled
@@ -349,22 +330,38 @@ class PirDatabase:
         result per op, positionally: the payload bytes for ``query``, the
         new page id for ``insert``, ``None`` for update/delete/touch, or
         the exception instance for a failed slot.  Payloads are
-        byte-identical to running the same op sequence through the serial
-        methods — only the physical trace differs.
+        byte-identical to running the same op sequence one op at a time —
+        only the physical trace differs.
         """
-        results = self.engine.run_batch(ops, window=window)
+        return self._run(ops)
+
+    def _run_one(self, op: BatchOp):
+        result = self._run([op])[0]
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    def _run(self, ops: Sequence[BatchOp]) -> List[object]:
+        # Private so the per-op methods never re-enter the public
+        # run_batch, which instrumentation may wrap on the instance.
+        results = self.engine.run_batch(ops)
         if self.replication is not None:
+            # One sealed logical record per op: failed slots and reads emit
+            # "noop" covers so the stream never reveals the write pattern.
+            # An insert replicates as a write at the chosen id: peers
+            # revive the same reserve page via modify(), so ids converge.
+            emit = self.replication.emit
             for op, item in zip(ops, results):
                 if isinstance(item, Exception):
-                    self._emit("noop")
+                    emit("noop")
                 elif op.kind == "update":
-                    self._emit("write", op.page_id, op.payload)
+                    emit("write", op.page_id, op.payload)
                 elif op.kind == "insert":
-                    self._emit("write", item, op.payload)
+                    emit("write", item, op.payload)
                 elif op.kind == "delete":
-                    self._emit("delete", op.page_id)
+                    emit("delete", op.page_id)
                 else:  # query / touch
-                    self._emit("noop")
+                    emit("noop")
         return [
             bytes(item.payload) if isinstance(item, Page) else item
             for item in results

@@ -18,6 +18,18 @@ crypto engine per request (Eq. 8), with *zero* dependence of the trace shape
 on the operation type or on cache hits — the property §4.3 sells for update
 privacy and the tests verify byte-for-byte on the trace.
 
+One executor
+------------
+
+:meth:`RetrievalEngine.run_batch` is the only request executor.  It groups
+ops into round-robin *windows* of up to k: a window reads its block once
+(together with op 0's extra page, as one request read), runs steps 2-5 for
+each op against the shared in-memory frames, and commits one write-back of
+the block plus one extra frame per op.  The per-op methods (``retrieve``,
+``modify``, ``delete``, ``insert``, ``touch``) are windows of one, whose
+trace is exactly the sequence above.  DESIGN.md §14 argues the privacy of
+windows of any size.
+
 Crash consistency
 -----------------
 
@@ -81,7 +93,7 @@ BATCH_KINDS = ("query", "update", "insert", "delete", "touch")
 
 @dataclass(frozen=True)
 class BatchOp:
-    """One logical operation inside a fused batch.
+    """One logical operation for :meth:`RetrievalEngine.run_batch`.
 
     ``kind`` is one of :data:`BATCH_KINDS`; ``page_id`` is required for
     query/update/delete and ``payload`` for update/insert.  The engine
@@ -96,7 +108,11 @@ class BatchOp:
 
 @dataclass
 class RequestOutcome:
-    """What one request did, for metrics and tests (never leaves the TCB)."""
+    """What one request did, for metrics and tests (never leaves the TCB).
+
+    ``elapsed`` is the virtual time of the whole window the op ran in —
+    for a window of one, the request's own cost.
+    """
 
     request_index: int
     block_start: int
@@ -171,8 +187,7 @@ class RetrievalEngine:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
         self.counters = CounterSet(registry=metrics, prefix="engine.")
-        # Per-request virtual latency distribution — the Eq. 8 constant-cost
-        # claim shows up here as a degenerate (zero-variance) histogram.
+        # Per-window virtual latency distribution (observed in run_batch).
         self._query_hist = (
             metrics.histogram("engine.query_seconds")
             if metrics is not None else None
@@ -204,34 +219,36 @@ class RetrievalEngine:
         return self._next_block
 
     def retrieve(self, page_id: int) -> Page:
-        """Q(i): privately fetch page ``page_id`` (Figure 3's Retrieve)."""
-        self._check_user_id(page_id)
-        return self._execute(target_id=page_id)
+        """Q(i): privately fetch page ``page_id`` (Figure 3's Retrieve).
+
+        A deleted page still costs one full request (the trace must not
+        depend on page state) and then raises :class:`PageDeletedError`.
+        """
+        return self._run_one(BatchOp("query", page_id=page_id))
 
     def modify(self, page_id: int, payload: bytes) -> None:
         """Replace a page's payload; trace-identical to a query (§4.3)."""
-        self._check_user_id(page_id)
-        self._check_payload(payload)
-        self._execute(target_id=page_id, new_payload=payload, revive=True)
+        self._run_one(BatchOp("update", page_id=page_id, payload=payload))
 
     def delete(self, page_id: int) -> None:
         """Mark a page deleted; its slot joins the insertion free pool (§4.3)."""
-        self._check_user_id(page_id)
-        if self.cop.page_map.is_deleted(page_id):
-            raise PageNotFoundError(f"page {page_id} is already deleted")
-        self._execute(target_id=page_id, deleting=True)
+        self._run_one(BatchOp("delete", page_id=page_id))
 
     def insert(self, payload: bytes) -> int:
         """Store a new page in a reclaimed free slot; returns its page id (§4.3)."""
-        self._check_payload(payload)
-        target = self._pick_free_disk_page()
-        self._execute(target_id=target, new_payload=payload, revive=True)
-        return target
+        return self._run_one(BatchOp("insert", payload=payload))
 
     def touch(self) -> None:
         """One dummy request (random page), e.g. to keep the reshuffle mixing
         during idle periods.  Observable trace identical to any query."""
-        self._execute(target_id=None)
+        self._run_one(BatchOp("touch"))
+
+    def _run_one(self, op: BatchOp):
+        """Execute one op as a window of one, re-raising its slot's error."""
+        result = self.run_batch([op])[0]
+        if isinstance(result, Exception):
+            raise result
+        return result
 
     def begin_key_rotation(self, new_master_key: bytes) -> None:
         """Rotate the database encryption key online, for free.
@@ -332,42 +349,6 @@ class RetrievalEngine:
         self.counters.increment("recovery.replayed")
         return RecoveryReport("replayed", intent.request_index)
 
-    # -- the unified request ---------------------------------------------------------
-
-    def _execute(
-        self,
-        target_id: Optional[int],
-        new_payload: Optional[bytes] = None,
-        deleting: bool = False,
-        revive: bool = False,
-    ) -> Page:
-        # The op lock spans the whole request so a background comparator
-        # batch can never observe (or mutate) a half-applied trusted state;
-        # with no background worker attached it is uncontended and free.
-        with self.op_lock:
-            # A previous request whose write-back failed mid-apply left the
-            # trusted deltas in place with the frames unwritten; finish it
-            # before computing anything against that state (_heal_pending).
-            self._heal_pending()
-
-            # The "request" span is the root of each query's trace:
-            # everything the request does (disk, link, crypto, journal,
-            # write-back) nests under it, and its virtual duration is what
-            # CostModelCheck compares against the full Eq. 8 prediction.
-            with self.tracer.span("request"):
-                result = self._execute_request(
-                    target_id, new_payload, deleting, revive
-                )
-            self.counters.increment("requests")
-            if self._query_hist is not None and self.last_outcome is not None:
-                self._query_hist.observe(self.last_outcome.elapsed)
-            # Idle-time keystream prefetch for the *next* request's block —
-            # a sibling of the "request" span, so it never inflates the
-            # request's own wall/virtual totals (and it charges no virtual
-            # time at all).
-            self.prefetch_next()
-            return result
-
     def prefetch_next(self) -> int:
         """Precompute decrypt keystreams for the next round-robin block.
 
@@ -386,49 +367,40 @@ class RetrievalEngine:
         with self.tracer.span("pipeline.prefetch"):
             return self.cop.prefetch_keystreams(range(start, start + k))
 
-    # -- fused batch execution ---------------------------------------------------
+    # -- the request executor ----------------------------------------------------
 
-    def run_batch(
-        self,
-        ops: Sequence[BatchOp],
-        window: Optional[int] = None,
-    ) -> List[object]:
-        """Execute a batch with **one physical disk pass per window**.
+    def run_batch(self, ops: Sequence[BatchOp]) -> List[object]:
+        """Execute ops in round-robin windows of up to k, **one disk pass each**.
 
-        Ops are grouped into round-robin windows of up to ``window``
-        (default k) operations.  Each window reads the k-frame block
-        *once*, decrypts it with a single fused keystream call, serves
-        every op in the group from the shared in-memory frames (zero-copy
-        memoryview pages), and commits one journaled write-back — the
-        serial loop's ~B·(k+1) frame transfers collapse to ~(k+B) per
-        shared window while replies stay byte-identical (content is a
-        pure function of the logical op sequence; see DESIGN.md §14 for
-        the privacy argument).
+        This is the engine's only request executor: the per-op methods
+        are windows of one.  Each window reads the k-frame block once,
+        decrypts it with a single fused keystream call, serves every op
+        in the group from the shared in-memory frames, and commits one
+        journaled write-back — B ops cost ~(k+B) frame transfers instead
+        of B·(k+1), while replies stay byte-identical to running the ops
+        one at a time (content is a pure function of the logical op
+        sequence; see DESIGN.md §14 for the privacy argument).
 
         Returns a positional result list: a :class:`Page` for ``query``,
         the new page id (int) for ``insert``, ``None`` for
         update/delete/touch.  A slot whose op failed holds the exception
         instance instead — validation failures never consume a request,
-        and a window-level storage fault fails only that window's slots
-        (matching the serial loop's per-op failure isolation at window
-        granularity).  Non-PIR exceptions (e.g. a simulated crash)
-        propagate, leaving the journal positioned for :meth:`recover`.
+        and a window-level storage fault fails only that window's slots.
+        Non-PIR exceptions (e.g. a simulated crash) propagate, leaving the
+        journal positioned for :meth:`recover`.
         """
-        capacity = self.params.block_size if window is None else window
-        if capacity <= 0:
-            raise ConfigurationError("batch window must be positive")
+        k = self.params.block_size
         results: List[object] = [None] * len(ops)
-        for start in range(0, len(ops), capacity):
+        for start in range(0, len(ops), k):
             # Locked per window, not per batch: a background comparator
             # batch may interleave between windows (each window commits
             # atomically) but never inside one.
             with self.op_lock:
-                # A previous window (or request) whose write-back failed
-                # mid-apply left trusted deltas in place with the frames
-                # unwritten; roll it forward before planning against that
-                # state — exactly the serial loop's per-request heal.
+                # A previous window whose write-back failed mid-apply left
+                # trusted deltas in place with the frames unwritten; roll
+                # it forward before planning against that state.
                 self._heal_pending()
-                indices = list(range(start, min(start + capacity, len(ops))))
+                indices = list(range(start, min(start + k, len(ops))))
                 plan = self._plan_window([ops[i] for i in indices], results,
                                          indices)
                 live = [(i, entry) for i, entry in zip(indices, plan)
@@ -436,9 +408,12 @@ class RetrievalEngine:
                 if not live:
                     continue
                 try:
-                    # The "engine.batch" span is the window's trace root,
-                    # the batched counterpart of the serial "request" span.
-                    with self.tracer.span("engine.batch"):
+                    # The "request" span is the root of each window's
+                    # trace: everything it does (disk, link, crypto,
+                    # journal, write-back) nests under it, and for a
+                    # window of one its virtual duration is what
+                    # CostModelCheck compares against Eq. 8.
+                    with self.tracer.span("request"):
                         self._run_window(live, results)
                 except ReproError as exc:
                     # Compute-phase abort: nothing trusted or durable
@@ -446,14 +421,23 @@ class RetrievalEngine:
                     # Apply-phase failure: the intent is retained and the
                     # next window's heal rolls it forward (the ops then
                     # *have* committed — clients that retry on the reported
-                    # transient error stay idempotent, as with a serial
-                    # request).  Either way every executable slot reports
-                    # the error (validation failures recorded by the
-                    # planner stand) and later windows proceed.
+                    # transient error stay idempotent).  Either way every
+                    # executable slot reports the error (validation
+                    # failures recorded by the planner stand) and later
+                    # windows proceed.
                     for i, _ in live:
                         results[i] = exc
                     self.disk.current_request = -1
                     continue
+                # Per-window virtual latency — for a window of one, the
+                # Eq. 8 constant-cost claim shows up as a degenerate
+                # (zero-variance) histogram.
+                if self._query_hist is not None:
+                    self._query_hist.observe(self.last_outcome.elapsed)
+                # Idle-time keystream prefetch for the *next* window's
+                # block — a sibling of the "request" span, so it never
+                # inflates the request's own wall/virtual totals (and it
+                # charges no virtual time at all).
                 self.prefetch_next()
         return results
 
@@ -469,8 +453,8 @@ class RetrievalEngine:
         flags and the free pool), never on relocation randomness, so the
         planner can decide *before* touching the disk which ops execute —
         a window whose every op fails validation performs no I/O at all,
-        and insert targets are pinned here exactly as the serial loop
-        would pick them (lowest free id at that op's turn).
+        and insert targets are pinned here (the lowest free id at that
+        op's turn, a pure function of the logical op sequence).
         """
         pm = self.cop.page_map
         sim_flags: Dict[int, int] = {}
@@ -546,26 +530,30 @@ class RetrievalEngine:
         live: List[Tuple[int, Tuple]],
         results: List[object],
     ) -> None:
-        """One fused disk pass serving every planned op of one window.
+        """One disk pass serving every planned op of one window.
 
-        Compute → intend → apply, exactly like a serial request: all
-        per-op relocations happen against in-memory containers (the
-        shared block plus per-op extra frames) and a *pending overlay* of
-        the trusted state; nothing lands in the real pageMap/pageCache —
-        and nothing durable moves — until the single commit point, so a
-        mid-window read fault aborts the whole window cleanly.
+        Compute → intend → apply: all per-op relocations happen against
+        in-memory containers (the shared block plus per-op extra frames)
+        and a *pending overlay* of the trusted state; nothing lands in the
+        real pageMap/pageCache — and nothing durable moves — until the
+        single commit point, so a mid-window read fault aborts the whole
+        window cleanly.
         """
         pm = self.cop.page_map
         cache = self.cop.cache
         rng = self.cop.rng
         k = self.params.block_size
+        started = self.cop.clock.now
         base_index = self._request_count
         self.disk.current_request = base_index
+        # The next block of k contiguous pages, round-robin (line 1).  The
+        # pointer itself only advances at commit, so an aborted or crashed
+        # window leaves it untouched and a resend hits the same block.
         block_start = self._next_block * k
 
-        # One physical scan of the round-robin block; a single fused
-        # keystream call decrypts all k frames into zero-copy page views.
-        block = self._fetch_window_block(block_start, k)
+        # Filled by op 0's fetch, which reads the block together with its
+        # extra page; every later op reads only its own extra frame.
+        block: List[Page] = []
         extras: List[Page] = []
         extra_locs: List[int] = []
 
@@ -594,6 +582,10 @@ class RetrievalEngine:
             page = ov_cache.get(slot)
             return page if page is not None else cache.get(slot)
 
+        def in_containers(position: int) -> bool:
+            return (block_start <= position < block_start + k
+                    or position in extra_locs)
+
         def container_get(position: int) -> Page:
             if block_start <= position < block_start + k:
                 return block[position - block_start]
@@ -605,45 +597,50 @@ class RetrievalEngine:
             else:
                 extras[extra_locs.index(position)] = page
 
-        executed = 0
+        outcome: Optional[RequestOutcome] = None
         for slot, entry in live:
             kind, target_id, new_payload, deleting, revive = entry
 
-            # Lines 2-9 against the overlay: decide the per-op extra page.
+            # Lines 2-9 against the overlay: decide the op's extra page and
+            # capture a cached result.  Both depend only on the page map
+            # and cache, never on block contents.
             cache_hit = False
             result: Optional[Page] = None
-            if target_id is None:
-                extra_id = self._window_random_candidate(
-                    block_start, ov_pos, extra_locs
-                )
-            else:
-                in_cache, position = ov_lookup(target_id)
-                if in_cache:
-                    cache_hit = True
-                    result = ov_cache_get(position)
-                    extra_id = self._window_random_candidate(
-                        block_start, ov_pos, extra_locs
-                    )
-                elif deleting:
-                    extra_id = self._window_random_candidate(
-                        block_start, ov_pos, extra_locs
-                    )
-                elif (block_start <= position < block_start + k
-                        or position in extra_locs):
-                    # Already inside the window's containers — served from
-                    # memory; fetch a random extra to keep the shape.
+            with self.tracer.span("pagemap.lookup"):
+                if target_id is None:
                     extra_id = self._window_random_candidate(
                         block_start, ov_pos, extra_locs
                     )
                 else:
-                    extra_id = target_id
-            _, extra_location = ov_lookup(extra_id)
+                    cache_hit, position = ov_lookup(target_id)
+                    if cache_hit:
+                        result = ov_cache_get(position)
+                    if cache_hit or deleting or in_containers(position):
+                        # Cache hits, deletions (handled as hits, §4.3) and
+                        # targets already in the window's containers are
+                        # served from memory; a random extra page keeps
+                        # the shape.
+                        extra_id = self._window_random_candidate(
+                            block_start, ov_pos, extra_locs
+                        )
+                    else:
+                        extra_id = target_id  # line 9: p <- i
+                _, extra_location = ov_lookup(extra_id)
 
-            # The one per-op physical read (the serial path's (k+1)-th
-            # frame); the k-frame block itself is never re-read.
-            extras.append(self._fetch_window_extra(extra_location))
+            # Lines 1, 10-11.  Op 0's extra page is known before any disk
+            # access, so the block and that page go out as one request
+            # read (one retry unit, one ingest charge, one unseal — and
+            # the only read a remote transport implements).  Later ops
+            # read just their own extra frame; the block is never re-read.
+            if not extras:
+                pages = self._fetch_block(block_start, k, extra_location)
+                block = pages[:k]
+                extras.append(pages[k])
+            else:
+                extras.append(self._fetch_window_extra(extra_location))
             extra_locs.append(extra_location)
 
+            # Lines 12-16: locate the relocation target q.
             wants_fetched_target = (
                 target_id is not None and not cache_hit and not deleting
             )
@@ -679,9 +676,10 @@ class RetrievalEngine:
                         cache_puts.append((cache_slot, carcass))
                         ov_cache[cache_slot] = carcass
                     else:
+                        # The carcass stays encrypted wherever it is; only
+                        # metadata changes (and the copy in memory, if any).
                         _, carcass_pos = ov_lookup(target_id)
-                        if (block_start <= carcass_pos < block_start + k
-                                or carcass_pos in extra_locs):
+                        if in_containers(carcass_pos):
                             container_set(
                                 carcass_pos,
                                 container_get(carcass_pos).mark_deleted(),
@@ -689,25 +687,31 @@ class RetrievalEngine:
                     flag_ops.append((target_id, FLAG_DELETED))
                     ov_flags[target_id] = FLAG_DELETED
 
-            # Lines 17-20: relocate through a uniform block slot and a
-            # cache victim, all inside the shared containers.
-            r = rng.randrange(k)
-            r_pos = block_start + r
-            page_r = container_get(r_pos)
-            page_q = container_get(q_pos)
-            container_set(r_pos, page_q)
-            container_set(q_pos, page_r)
+            with self.tracer.span("cache.op"):
+                # Lines 17-18: move the target to a uniform block slot.
+                r = rng.randrange(k)
+                r_pos = block_start + r
+                page_r = container_get(r_pos)
+                page_q = container_get(q_pos)
+                container_set(r_pos, page_q)
+                container_set(q_pos, page_r)
 
-            if deleting and target_id is not None and cache_hit:
-                _, s = ov_lookup(target_id)
-            else:
-                s = cache.victim_slot()
-            evicted = ov_cache_get(s)
-            entering = container_get(r_pos)
-            cache_puts.append((s, entering))
-            ov_cache[s] = entering
-            container_set(r_pos, evicted)
+                # Lines 19-20: swap with a cache slot.  A deletion of a
+                # cached page always selects that page as the victim
+                # (§4.3); otherwise the victim is the policy's choice
+                # (uniform under the paper's policy).
+                with self.tracer.span("evict"):
+                    if deleting and cache_hit:
+                        _, s = ov_lookup(target_id)
+                    else:
+                        s = cache.victim_slot()
+                    evicted = ov_cache_get(s)
+                entering = container_get(r_pos)
+                cache_puts.append((s, entering))
+                ov_cache[s] = entering
+                container_set(r_pos, evicted)
 
+            # Lines 23-25 as pending deltas for the three relocated pages.
             page_at_r = container_get(r_pos)
             page_at_q = container_get(q_pos)
             map_ops.append((entering.page_id, MAP_CACHED, s))
@@ -719,8 +723,7 @@ class RetrievalEngine:
 
             if kind == "query":
                 # Executed in full first (the trace must not depend on
-                # page state), then the slot refuses — the serial path's
-                # PirDatabase.query contract, at the op's in-window turn.
+                # page state), then the slot refuses.
                 if ov_is_deleted(target_id):
                     results[slot] = PageDeletedError(
                         f"page {target_id} is deleted"
@@ -731,13 +734,28 @@ class RetrievalEngine:
                 results[slot] = target_id
             else:
                 results[slot] = None
-            executed += 1
+            outcome = RequestOutcome(
+                request_index=base_index + len(extras) - 1,
+                block_start=block_start,
+                extra_location=extra_location,
+                cache_hit=cache_hit,
+                victim_slot=s,
+                block_slot=r,
+                elapsed=0.0,
+            )
 
         # ---- single commit point for the whole window ----------------------
+        # Lines 21-22: re-encrypt everything with fresh nonces.  The link
+        # egress charge keeps its own span (link.ingest/link.egress carry
+        # the Eq. 8 link-term bytes) so the reencrypt span's bytes feed the
+        # crypto term alone.
         n_extra = len(extras)
         self.cop.charge_egress(k + n_extra)
         with self.tracer.span("reencrypt",
                               nbytes=(k + n_extra) * self.cop.frame_size):
+            # Batched seal: one suite entry for all frames (nonces are
+            # drawn in page order, so the frames match per-page sealing
+            # byte for byte).
             sealed = self.cop.seal_pages(block + extras)
         self.counters.increment("crypto.batched_frames", k + n_extra)
         rotation_left = self._rotation_requests_left
@@ -753,6 +771,8 @@ class RetrievalEngine:
             map_ops=map_ops,
             frames=sealed,
         )
+        # Intend: make the post-state durable before applying it; apply:
+        # idempotent, replayable from the intent record.
         if self.journal is not None:
             with self.tracer.span("journal.seal"):
                 self.journal.write(self.cop.seal_blob(intent.encode()))
@@ -761,43 +781,47 @@ class RetrievalEngine:
             self.journal.clear()
         self.disk.current_request = -1
 
-        self.counters.increment("requests", executed)
+        outcome.elapsed = self.cop.clock.now - started
+        self.last_outcome = outcome
+        self.counters.increment("requests", n_extra)
         self.counters.increment("batch.fused.windows")
-        self.counters.increment("batch.fused.ops", executed)
+        self.counters.increment("batch.fused.ops", n_extra)
         self.counters.increment("batch.fused.block_reads")
         self.counters.increment("batch.fused.extra_reads", n_extra)
         self.counters.increment(
-            "batch.fused.reads_saved", executed * (k + 1) - (k + n_extra)
+            "batch.fused.reads_saved", n_extra * (k + 1) - (k + n_extra)
         )
         if self.cop.pipeline is not None:
             self.cop.pipeline.note_batch_window(k, n_extra)
 
-    def _fetch_window_block(self, block_start: int, k: int) -> List[Page]:
-        """One contiguous read + fused decrypt of the round-robin block."""
+    def _fetch_block(
+        self, block_start: int, k: int, extra_location: int
+    ) -> List[Page]:
+        """Read + ingest + decrypt the block and op 0's extra frame (k+1).
+
+        A retry repeats the whole fetch (re-read, re-charge, re-decrypt) —
+        exactly what real hardware would do — and consumes only the
+        spawned retry RNG and the virtual clock, so seeded runs stay
+        byte-identical.
+        """
 
         def attempt() -> List[Page]:
-            frames = self.disk.read_range(block_start, k)
-            self.cop.charge_ingest(k)
+            frames, extra_frame = self.disk.read_request(
+                block_start, k, extra_location
+            )
+            self.cop.charge_ingest(k + 1)
             with self.tracer.span("decrypt",
-                                  nbytes=k * self.cop.frame_size):
-                block = self.cop.unseal_frames(list(frames), views=True)
-            self.counters.increment("crypto.batched_frames", k)
+                                  nbytes=(k + 1) * self.cop.frame_size):
+                # Batched unseal: MACs for the whole block are verified and
+                # the keystream applied in one suite entry.
+                block = self.cop.unseal_frames(list(frames) + [extra_frame])
+            self.counters.increment("crypto.batched_frames", k + 1)
             return block
 
-        if self.read_retry is None:
-            return attempt()
-        return retry_call(
-            attempt,
-            self.read_retry,
-            self.cop.clock,
-            self._retry_rng,
-            retry_on=(TransientStorageError, AuthenticationError),
-            counters=self.counters,
-            counter="retries.read",
-        )
+        return self._with_read_retry(attempt)
 
     def _fetch_window_extra(self, location: int) -> Page:
-        """Read + decrypt one per-op extra frame inside a fused window."""
+        """Read + decrypt the extra frame of a window's second or later op."""
 
         def attempt() -> Page:
             frame = self.disk.read(location)
@@ -805,6 +829,9 @@ class RetrievalEngine:
             with self.tracer.span("decrypt", nbytes=self.cop.frame_size):
                 return self.cop.unseal_frames([frame], views=True)[0]
 
+        return self._with_read_retry(attempt)
+
+    def _with_read_retry(self, attempt):
         if self.read_retry is None:
             return attempt()
         return retry_call(
@@ -823,12 +850,14 @@ class RetrievalEngine:
         ov_pos: Dict[int, Tuple[int, int]],
         extra_locs: List[int],
     ) -> int:
-        """Overlay-aware :meth:`_random_free_candidate` for fused windows.
+        """Lines 3-5: a uniform page id that is neither cached nor in the block.
 
-        Additionally rejects candidates whose (overlay) position is one of
-        the window's already-fetched extra locations: the disk frame there
-        is stale — the live page sits in the window's containers — so
-        re-reading it would serve garbage.
+        Reads positions through the window's overlay, and also rejects
+        candidates whose position is one of the window's already-fetched
+        extra locations: the disk frame there is stale — the live page
+        sits in the window's containers — so re-reading it would serve
+        garbage.  For op 0 (empty overlay) this is exactly Figure 3's
+        rejection sampling.
         """
         pm = self.cop.page_map
         k = self.params.block_size
@@ -852,180 +881,6 @@ class RetrievalEngine:
             "rejection sampling failed to find an eligible random page; the "
             "configuration violates num_locations >= block_size + 2"
         )
-
-    def _execute_request(
-        self,
-        target_id: Optional[int],
-        new_payload: Optional[bytes],
-        deleting: bool,
-        revive: bool,
-    ) -> Page:
-        pm = self.cop.page_map
-        cache = self.cop.cache
-        rng = self.cop.rng
-        k = self.params.block_size
-        started = self.cop.clock.now
-
-        # ---- compute phase: no durable or trusted state is touched ----------
-
-        request_index = self._request_count
-        self.disk.current_request = request_index
-
-        # The next block of k contiguous pages, round-robin (line 1).  The
-        # pointer itself only advances at commit, so an aborted or crashed
-        # request leaves it untouched and a resend hits the same block.
-        block_start = self._next_block * k
-
-        # Lines 2-9: decide the (k+1)-th page and capture a cached result.
-        # Both depend only on the page map and cache, never on block
-        # contents, so the decision is made before any disk access — which
-        # lets remote transports issue the block and the extra page as one
-        # batched read (the paper's two-party prototype does the same).
-        result: Optional[Page] = None
-        cache_hit = False
-        with self.tracer.span("pagemap.lookup"):
-            if target_id is None:
-                extra_id = self._random_free_candidate(block_start)
-            else:
-                location = pm.lookup(target_id)
-                if location.in_cache:
-                    cache_hit = True
-                    result = cache.get(location.position)
-                    extra_id = self._random_free_candidate(block_start)
-                elif deleting:
-                    # Deletions are handled as cache hits (§4.3): random
-                    # extra page.
-                    extra_id = self._random_free_candidate(block_start)
-                elif block_start <= location.position < block_start + k:
-                    extra_id = self._random_free_candidate(block_start)
-                else:
-                    extra_id = target_id  # line 9: p <- i
-            extra_location = pm.disk_location(extra_id)
-
-        # Lines 1, 10-11: read the block and page p, decrypt inside the
-        # boundary (with bounded retries when a policy is configured).
-        block = self._fetch_block(block_start, k, extra_location)
-
-        # Lines 12-16: locate the relocation target q within serverBlock.
-        wants_fetched_target = (
-            target_id is not None and not cache_hit and not deleting
-        )
-        if wants_fetched_target:
-            q = self._index_of(block, target_id, block_start, extra_location)
-            result = block[q]
-        else:
-            q = k
-
-        # §4.3 content edits, computed as pending deltas (applied at commit).
-        cache_puts: List[Tuple[int, Page]] = []
-        flag_ops: List[Tuple[int, int]] = []
-        if target_id is not None:
-            if new_payload is not None:
-                if cache_hit:
-                    slot = pm.lookup(target_id).position
-                    cache_puts.append(
-                        (slot, Page(target_id, new_payload, deleted=False))
-                    )
-                else:
-                    block[q] = Page(target_id, new_payload, deleted=False)
-                if revive:
-                    flag_ops.append((target_id, FLAG_LIVE))
-            if deleting:
-                if cache_hit:
-                    slot = pm.lookup(target_id).position
-                    cache_puts.append((slot, Page(target_id, b"", deleted=True)))
-                else:
-                    # The carcass stays encrypted wherever it is; only
-                    # metadata changes.
-                    for index, page in enumerate(block):
-                        if page.page_id == target_id:
-                            block[index] = page.mark_deleted()
-                flag_ops.append((target_id, FLAG_DELETED))
-
-        with self.tracer.span("cache.op"):
-            # Lines 17-18: move the target to a uniform slot within the block.
-            r = rng.randrange(k)
-            block[r], block[q] = block[q], block[r]
-
-            # Lines 19-20: swap with a cache slot.  A deletion of a cached
-            # page always selects that page as the victim (§4.3); otherwise
-            # the victim is the policy's choice (uniform under the paper's
-            # policy).
-            with self.tracer.span("evict"):
-                if deleting and target_id is not None and cache_hit:
-                    s = pm.lookup(target_id).position
-                else:
-                    s = cache.victim_slot()
-                evicted = self._pending_cache_view(cache_puts, s)
-                if evicted is None:
-                    evicted = cache.get(s)
-            entering = block[r]
-            cache_puts.append((s, entering))
-            block[r] = evicted
-
-        # Lines 21-22: re-encrypt everything with fresh nonces.  The link
-        # egress charge keeps its own span (link.ingest/link.egress carry
-        # the Eq. 8 link-term bytes) so the reencrypt span's bytes feed the
-        # crypto term alone.
-        self.cop.charge_egress(k + 1)
-        with self.tracer.span("reencrypt",
-                              nbytes=(k + 1) * self.cop.frame_size):
-            # Batched seal: one suite entry for all k+1 frames (nonces are
-            # drawn in page order, so the frames match per-page sealing
-            # byte for byte).
-            sealed = self.cop.seal_pages(block)
-        self.counters.increment("crypto.batched_frames", k + 1)
-
-        # Lines 23-25 as a pending delta for the three relocated pages.
-        map_ops = [
-            (entering.page_id, MAP_CACHED, s),
-            (block[r].page_id, MAP_DISK, block_start + r),
-            (block[q].page_id, MAP_DISK,
-             block_start + q if q < k else extra_location),
-        ]
-        rotation_left = self._rotation_requests_left
-        intent = WriteIntent(
-            request_index=request_index,
-            next_block=(self._next_block + 1) % self.params.num_blocks,
-            rotation_left=-1 if rotation_left is None else rotation_left - 1,
-            block_start=block_start,
-            extra_location=extra_location,
-            cache_puts=cache_puts,
-            flag_ops=flag_ops,
-            map_ops=map_ops,
-            frames=sealed,
-        )
-
-        # ---- intend phase: make the post-state durable before applying it --
-
-        if self.journal is not None:
-            with self.tracer.span("journal.seal"):
-                self.journal.write(self.cop.seal_blob(intent.encode()))
-
-        # ---- apply phase: idempotent, replayable from the intent record ----
-
-        self._apply_intent(intent)
-        if self.journal is not None:
-            self.journal.clear()
-
-        self.disk.current_request = -1
-        self.last_outcome = RequestOutcome(
-            request_index=request_index,
-            block_start=block_start,
-            extra_location=extra_location,
-            cache_hit=cache_hit,
-            victim_slot=s,
-            block_slot=r,
-            elapsed=self.cop.clock.now - started,
-        )
-
-        # Line 26: return the page (queries only reach here with result set).
-        if target_id is None or deleting:
-            return Page.dummy()
-        assert result is not None
-        if new_payload is not None:
-            return result.with_payload(new_payload)
-        return result
 
     def _apply_intent(self, intent: WriteIntent) -> None:
         """Commit an intent record; every step is idempotent.
@@ -1129,114 +984,27 @@ class RetrievalEngine:
         for healer in self._background_healers:
             healer()
 
-    def _fetch_block(
-        self, block_start: int, k: int, extra_location: int
-    ) -> List[Page]:
-        """Read + ingest + decrypt the k+1 frames, with optional retries.
-
-        A retry repeats the whole fetch (re-read, re-charge, re-decrypt) —
-        exactly what real hardware would do — and consumes only the
-        spawned retry RNG and the virtual clock, so seeded runs stay
-        byte-identical.
-        """
-
-        def attempt() -> List[Page]:
-            frames, extra_frame = self.disk.read_request(
-                block_start, k, extra_location
-            )
-            self.cop.charge_ingest(k + 1)
-            with self.tracer.span("decrypt",
-                                  nbytes=(k + 1) * self.cop.frame_size):
-                # Batched unseal: MACs for the whole block are verified and
-                # the keystream applied in one suite entry.
-                block = self.cop.unseal_frames(list(frames) + [extra_frame])
-            self.counters.increment("crypto.batched_frames", k + 1)
-            return block
-
-        if self.read_retry is None:
-            return attempt()
-        return retry_call(
-            attempt,
-            self.read_retry,
-            self.cop.clock,
-            self._retry_rng,
-            retry_on=(TransientStorageError, AuthenticationError),
-            counters=self.counters,
-            counter="retries.read",
-        )
-
-    @staticmethod
-    def _pending_cache_view(
-        cache_puts: List[Tuple[int, Page]], slot: int
-    ) -> Optional[Page]:
-        """The page slot ``slot`` will hold once pending puts are applied."""
-        for pending_slot, page in reversed(cache_puts):
-            if pending_slot == slot:
-                return page
-        return None
-
     # -- helpers -------------------------------------------------------------------
 
-    def _check_payload(self, payload: bytes) -> None:
-        """Reject oversized payloads at the API boundary — never let one sit
-        in the cache waiting to fail at eviction time."""
+    def _check_payload(self, payload) -> None:
+        """Reject a missing or oversized payload at the API boundary — never
+        let one sit in the cache waiting to fail at eviction time."""
+        if not isinstance(payload, (bytes, bytearray, memoryview)):
+            raise ConfigurationError(
+                f"payload must be bytes, got {type(payload).__name__}"
+            )
         if len(payload) > self.params.page_capacity:
             raise ConfigurationError(
                 f"payload of {len(payload)} bytes exceeds page capacity "
                 f"{self.params.page_capacity}"
             )
 
-    def _check_user_id(self, page_id: int) -> None:
+    def _check_user_id(self, page_id) -> None:
+        if not isinstance(page_id, int):
+            raise PageNotFoundError(
+                f"page id must be an int, got {page_id!r}"
+            )
         if not 0 <= page_id < self.params.total_pages:
             raise PageNotFoundError(
                 f"page id {page_id} out of range [0, {self.params.total_pages})"
             )
-
-    def _index_of(
-        self, block: List[Page], target_id: int, block_start: int, extra_location: int
-    ) -> int:
-        """Line 13: index of the target page within serverBlock."""
-        for index, page in enumerate(block):
-            if page.page_id == target_id:
-                return index
-        raise PageNotFoundError(
-            f"page {target_id} not found in serverBlock (map expected it at "
-            f"block {block_start} or extra location {extra_location}); "
-            "page map and disk are inconsistent"
-        )
-
-    def _random_free_candidate(self, block_start: int) -> int:
-        """Lines 3-5: a uniform page id that is neither cached nor in the block."""
-        pm = self.cop.page_map
-        k = self.params.block_size
-        total = self.params.total_pages
-        for _ in range(_MAX_REJECTION_ROUNDS):
-            candidate = self.cop.rng.randrange(total)
-            if pm.is_cached(candidate):
-                continue
-            position = pm.lookup(candidate).position
-            if block_start <= position < block_start + k:
-                continue
-            return candidate
-        raise CapacityError(
-            "rejection sampling failed to find an eligible random page; the "
-            "configuration violates num_locations >= block_size + 2"
-        )
-
-    def _pick_free_disk_page(self) -> int:
-        """The lowest-numbered free page id, for insertion.
-
-        Deterministic (min over the free set, which is a pure function of
-        the logical operation sequence) so the serial loop and the fused
-        batch planner agree on which page an insert lands on — the
-        byte-identical-replies guarantee between the two paths depends on
-        it.  A cached free page is fine: the insert then takes the
-        cache-hit path, exactly like an update of a cached page.
-        """
-        free = self.cop.page_map.free_ids()
-        if not free:
-            raise CapacityError(
-                "no free page available for insertion; delete pages "
-                "or provision a reserve_fraction at setup"
-            )
-        return min(free)

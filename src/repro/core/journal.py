@@ -148,7 +148,7 @@ class WriteIntent:
                 self.extra_locations = None
 
     def extras(self) -> List[int]:
-        """Extra-frame locations, always as a list (len 1 for serial ops)."""
+        """Extra-frame locations, always as a list (len 1 for a window of one)."""
         if self.extra_locations is None:
             return [self.extra_location]
         return list(self.extra_locations)

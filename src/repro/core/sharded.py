@@ -61,9 +61,9 @@ __all__ = ["ShardedPirDatabase", "ShardExecutor"]
 def _globalise_error(exc: Exception, local_id, global_id: int) -> Exception:
     """Rewrite a shard-level error so its message names the global id.
 
-    Shards speak local page ids; the substitution keeps batch error slots
-    consistent with what the serial per-op methods report.  Errors whose
-    message does not mention the local id pass through unchanged.
+    Shards speak local page ids; the substitution makes error slots name
+    the id the caller passed.  Errors whose message does not mention the
+    local id pass through unchanged.
     """
     if local_id is None:
         return exc
@@ -271,91 +271,44 @@ class ShardedPirDatabase:
     def num_shards(self) -> int:
         return len(self.shards)
 
-    def _route(self, global_id: int) -> Tuple[int, int]:
-        """Global id -> (shard index, local page id)."""
-        with self._routing_lock:
-            return self._route_locked(global_id)
-
-    def _with_cover(self, shard_index: int, operation):
-        """Run ``operation`` on its shard plus covers on all the others.
-
-        The per-shard operations are always issued in canonical
-        shard-index order — independent of which shard carries the real
-        operation — so the cross-shard access sequence leaks nothing about
-        the target (see the module docstring); the executor then runs them
-        serially or concurrently without changing any per-shard stream.
-        """
-        if not self.cover_traffic:
-            results = self.executor.run(
-                [(shard_index, partial(operation, self.shards[shard_index]))]
-            )
-            return results[0]
-        self.counters.increment("covers", self.num_shards - 1)
-        operations: List[Tuple[int, Callable[[], object]]] = []
-        for index, shard in enumerate(self.shards):
-            if index == shard_index:
-                operations.append((index, partial(operation, shard)))
-            else:
-                operations.append((index, shard.touch))
-        results = self.executor.run(operations)
-        return results[shard_index]
-
     # ------------------------------------------------------------------
     # Operations
     # ------------------------------------------------------------------
 
     def query(self, global_id: int) -> bytes:
-        shard_index, local = self._route(global_id)
-        return self._with_cover(shard_index, lambda db: db.query(local))
+        return self._run_one(BatchOp("query", page_id=global_id))
 
     def update(self, global_id: int, payload: bytes) -> None:
-        shard_index, local = self._route(global_id)
-        self._with_cover(shard_index, lambda db: db.update(local, payload))
+        self._run_one(BatchOp("update", page_id=global_id, payload=payload))
 
     def delete(self, global_id: int) -> None:
-        shard_index, local = self._route(global_id)
-        self._with_cover(shard_index, lambda db: db.delete(local))
-        # Drop the routing entry only after the shard-level delete
-        # succeeded: the shard may recycle the local slot for a future
-        # insert, and a stale mapping would alias the old global id onto
-        # the new record.
-        with self._routing_lock:
-            if global_id < self.num_records:
-                self._deleted_base.add(global_id)
-            else:
-                self._inserted.pop(global_id, None)
+        self._run_one(BatchOp("delete", page_id=global_id))
 
     def touch(self) -> None:
         """Dummy request to keep the shards' reshuffles mixing.
 
         With cover traffic every shard advances one request (matching the
         uniform streams real operations produce); without it, shard 0
-        hosts the single dummy — the same placement the fused batch path
-        uses for touch ops.
+        hosts the single dummy.
         """
-        if self.cover_traffic:
-            self.executor.run([
-                (index, shard.touch)
-                for index, shard in enumerate(self.shards)
-            ])
-        else:
-            self.executor.run([(0, self.shards[0].touch)])
+        self._run_one(BatchOp("touch"))
 
     def insert(self, payload: bytes) -> int:
         """Insert into the emptiest shard; returns a fresh global id."""
-        best = max(
-            range(self.num_shards),
-            key=lambda index: self.shards[index].cop.page_map.free_count,
-        )
-        local = self._with_cover(best, lambda db: db.insert(payload))
-        with self._routing_lock:
-            global_id = self._next_inserted_id
-            self._next_inserted_id += 1
-            self._inserted[global_id] = (best, local)
-        return global_id
+        return self._run_one(BatchOp("insert", payload=payload))
+
+    def _run_one(self, op: BatchOp):
+        """One op as a batch of one, re-raising its slot's error."""
+        result = self.run_batch([op])[0]
+        if isinstance(result, Exception):
+            raise result
+        return result
 
     def run_batch(self, ops: Sequence[BatchOp]) -> List[object]:
-        """Fused batch across shards: one windowed disk pass per shard.
+        """Batch across shards: one windowed disk pass per shard.
+
+        Every operation goes through here; the per-op methods are
+        batches of one.
 
         A routing prescan resolves every op's owning shard (recording
         routing failures in their slots without consuming requests), then
@@ -367,7 +320,7 @@ class ShardedPirDatabase:
         routed to the emptiest shard by *simulated* free counts (the
         prescan replays the batch's deletes/inserts against the starting
         counts; which shard hosts a page is placement, not content, so
-        replies match the serial methods byte for byte).  Global ids for
+        replies match sending the ops one at a time).  Global ids for
         successful inserts are allocated in batch order; successful
         deletes tombstone their global id only after the shard commits.
         """
@@ -488,8 +441,8 @@ class ShardedPirDatabase:
         return results
 
     def _route_locked(self, global_id: int) -> Tuple[int, int]:
-        """:meth:`_route` body for callers already holding the lock."""
-        if 0 <= global_id < self.num_records:
+        """Global id -> (shard index, local page id); caller holds the lock."""
+        if isinstance(global_id, int) and 0 <= global_id < self.num_records:
             if global_id in self._deleted_base:
                 raise PageDeletedError(f"page {global_id} is deleted")
             return global_id // self._per_shard, global_id % self._per_shard

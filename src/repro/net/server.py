@@ -257,15 +257,7 @@ class PirServer:
             self._reap_task = None
         if self._inflight > 0:
             await self._idle_event.wait()
-        for _ in self._threads:
-            self._queue.put(None)
-        for thread in self._threads:
-            thread.join()
-        self._threads = []
-        if self._repl_thread is not None:
-            self._repl_queue.put(None)
-            self._repl_thread.join()
-            self._repl_thread = None
+        self._stop_threads()
         for task in list(self._conn_tasks):
             task.cancel()
         if self._conn_tasks:
@@ -279,6 +271,18 @@ class PirServer:
                 self.frontend.close_session(session_id)
         self._publish_sessions()
         self.counters.increment("drains")
+
+    def _stop_threads(self, timeout: Optional[float] = None) -> None:
+        """Release and join the serving workers and the replication worker."""
+        for _ in self._threads:
+            self._queue.put(None)
+        for thread in self._threads:
+            thread.join(timeout)
+        self._threads = []
+        if self._repl_thread is not None:
+            self._repl_queue.put(None)
+            self._repl_thread.join(timeout)
+            self._repl_thread = None
 
     @property
     def draining(self) -> bool:
@@ -775,13 +779,9 @@ class ServerThread:
             except RuntimeError:
                 pass  # loop already closed
         self._thread.join(timeout=timeout)
-        # Workers block on the queue, not the loop; release them so the
-        # process does not leak threads between restart cycles.
-        for _ in server._threads:
-            server._queue.put(None)
-        for thread in server._threads:
-            thread.join(timeout=timeout)
-        server._threads = []
+        # Workers block on their queues, not the loop; release them so
+        # the process does not leak threads between restart cycles.
+        server._stop_threads(timeout)
         self._thread = None
 
     def __enter__(self) -> "ServerThread":

@@ -20,7 +20,7 @@ from .channel import SimulatedChannel
 from ..core.engine import RetrievalEngine
 from ..core.params import SystemParameters
 from ..crypto.rng import SecureRandom
-from ..errors import ConfigurationError, PageDeletedError, ProtocolError
+from ..errors import ConfigurationError, ProtocolError
 from ..hardware.coprocessor import SecureCoprocessor
 from ..hardware.specs import HardwareSpec
 from ..shuffle.permutation import Permutation
@@ -201,10 +201,7 @@ class DataOwner:
         return self.cop.clock
 
     def query(self, page_id: int) -> bytes:
-        page = self.engine.retrieve(page_id)
-        if self.cop.page_map.is_deleted(page_id):
-            raise PageDeletedError(f"page {page_id} is deleted")
-        return page.payload
+        return self.engine.retrieve(page_id).payload
 
     def update(self, page_id: int, payload: bytes) -> None:
         self.engine.modify(page_id, payload)

@@ -19,6 +19,7 @@ from repro.errors import (
     ConfigurationError,
     PageDeletedError,
     PageNotFoundError,
+    ReproError,
     StorageError,
     TransientStorageError,
 )
@@ -141,19 +142,28 @@ class TestByteIdentity:
         with pytest.raises(PageDeletedError):
             fused.query(9)
 
-    def test_explicit_window_size_and_validation(self):
+    def test_windows_hold_k_ops_and_validation(self):
         _, fused = twin_dbs()
-        ops = [BatchOp("query", page_id=i) for i in range(6)]
-        got = fused.run_batch(ops, window=2)
-        assert fused.engine.counters.get("batch.fused.windows") == 3
+        k = fused.params.block_size
+        ops = [BatchOp("query", page_id=i % NUM_RECORDS)
+               for i in range(k + 2)]
+        got = fused.run_batch(ops)
+        assert fused.engine.counters.get("batch.fused.windows") == 2
         assert all(not isinstance(item, Exception) for item in got)
-        with pytest.raises(ConfigurationError):
-            fused.run_batch(ops, window=0)
-        # An unknown op kind fails its slot, not the batch.
-        bad = fused.run_batch([BatchOp("frobnicate"),
-                               BatchOp("query", page_id=0)])
-        assert isinstance(bad[0], ConfigurationError)
-        assert not isinstance(bad[1], Exception)
+        # An unknown kind or a malformed op fails its slot, not the batch.
+        bad = fused.run_batch([
+            BatchOp("frobnicate"),
+            BatchOp("query"),                          # no page_id
+            BatchOp("delete", page_id="3"),            # non-int page_id
+            BatchOp("update", page_id=1),              # no payload
+            BatchOp("update", page_id=1, payload="text"),
+            BatchOp("insert"),                         # no payload
+            BatchOp("query", page_id=0),
+        ])
+        expected = [ConfigurationError, PageNotFoundError, PageNotFoundError,
+                    ConfigurationError, ConfigurationError, ConfigurationError]
+        assert [type(item) for item in bad[:-1]] == expected
+        assert not isinstance(bad[-1], Exception)
 
 
 class TestErrorSlots:
@@ -347,7 +357,10 @@ class TestShardedFusedBatch:
     def test_sharded_batch_matches_serial_methods(self):
         serial, fused = self._twin_sharded()
         try:
-            ops = MIXED_OPS[:-1]  # same mix, minus the out-of-range probe
+            # Same mix minus the out-of-range probe, plus a query with no
+            # page id: it must fail its slot in routing, not the batch.
+            ops = MIXED_OPS[:-1] + [BatchOp("query"),
+                                    BatchOp("query", page_id=2)]
             expected = run_serial(serial, ops)
             got = fused.run_batch(ops)
             assert_slots_equal(expected, got)
@@ -395,35 +408,30 @@ class TestFrontendFusedBatch:
         # recycling page 4 — the query of the deleted page must refuse.
         batch = [Query(2), Update(3, b"new"), Query(3), Insert(b"ins"),
                  Delete(4), Query(4), Query(10 ** 9)]
-        fused_client = ServiceClient(self._frontend())
-        serial_client = ServiceClient(
-            self._frontend(fused_batches=False)
-        )
-        fused_replies = fused_client.batch(list(batch))
-        serial_replies = serial_client.batch(list(batch))
-        assert fused_replies == serial_replies
-        assert fused_replies[0] == Result(2, records[2])
-        assert fused_replies[3].payload == b"ins"
-        assert isinstance(fused_replies[5], Refused)
-        assert fused_replies[5].code == "deleted"
-        assert isinstance(fused_replies[6], Refused)
-        assert fused_replies[6].code == "not-found"
+        batch_replies = ServiceClient(self._frontend()).batch(list(batch))
+        # The same ops sent one message at a time through a twin frontend.
+        single_client = ServiceClient(self._frontend())
+        for op, reply in zip(batch, batch_replies):
+            try:
+                single = single_client._call(op)
+            except ReproError as exc:
+                assert isinstance(reply, Refused), (op, exc)
+                assert str(exc) == f"request refused: {reply.reason}"
+            else:
+                assert single == reply
+        assert batch_replies[0] == Result(2, records[2])
+        assert batch_replies[3].payload == b"ins"
+        assert isinstance(batch_replies[5], Refused)
+        assert batch_replies[5].code == "deleted"
+        assert isinstance(batch_replies[6], Refused)
+        assert batch_replies[6].code == "not-found"
 
     def test_fused_path_counters(self):
         frontend = self._frontend()
         client = ServiceClient(frontend)
         client.batch([Query(0), Query(1), Query(2)])
         assert frontend.counters.get("batch.requests") == 1
-        assert frontend.counters.get("batch.fused.requests") == 1
         assert frontend.counters.get("batch.ops") == 3
         engine = frontend.database.engine
         assert engine.counters.get("batch.fused.windows") == 1
         assert engine.counters.get("batch.fused.ops") == 3
-
-    def test_fused_disabled_keeps_serial_loop(self):
-        frontend = self._frontend(fused_batches=False)
-        client = ServiceClient(frontend)
-        client.batch([Query(0), Query(1)])
-        assert frontend.counters.get("batch.fused.requests") == 0
-        assert frontend.database.engine.counters.get(
-            "batch.fused.windows") == 0

@@ -9,6 +9,7 @@ lost backend replies, rolling restarts, and full-cluster outage.
 from __future__ import annotations
 
 import contextlib
+import threading
 import time
 
 import pytest
@@ -552,6 +553,24 @@ class TestSealedReplication:
             assert victim.db.query(7) == b"while-down"
             assert (victim.db.content_digest()
                     == survivor.db.content_digest())
+
+    def test_kill_restart_cycles_do_not_leak_repl_workers(self, tmp_path):
+        """kill() must stop the replication worker just as drain() does."""
+
+        def repl_workers():
+            return sum(1 for thread in threading.enumerate()
+                       if thread.name == "pir-repl-worker")
+
+        before = repl_workers()
+        with cluster(tmp_path, n=2, replicated=True) as (
+                handles, router, thread):
+            running = repl_workers()
+            assert running == before + 2
+            for _ in range(3):
+                handles[0].kill()
+                handles[0].restart()
+            assert repl_workers() == running
+        assert repl_workers() == before
 
     def test_failover_refuses_stale_replica(self, tmp_path):
         """The heart of the bugfix: a replica that has not applied the

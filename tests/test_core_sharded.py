@@ -110,19 +110,13 @@ class TestCoverTraffic:
             observed = []
 
             def _instrument(index, shard):
-                real_touch = shard.touch
-                real_query = shard.query
+                real_run_batch = shard.run_batch
 
-                def touch():
+                def run_batch(ops):
                     observed.append(index)
-                    return real_touch()
+                    return real_run_batch(ops)
 
-                def query(page_id):
-                    observed.append(index)
-                    return real_query(page_id)
-
-                shard.touch = touch
-                shard.query = query
+                shard.run_batch = run_batch
 
             for index, shard in enumerate(db.shards):
                 _instrument(index, shard)
@@ -142,15 +136,14 @@ class TestCoverTraffic:
         # ... but a failure *inside* the target shard still drives every
         # cover, so the executor never leaves cover traffic half-issued.
         shard0 = db.shards[0]
-        original = shard0.query
-        shard0.query = lambda page_id: (_ for _ in ()).throw(
+        shard0.run_batch = lambda ops: (_ for _ in ()).throw(
             PageNotFoundError("injected shard fault")
         )
         try:
             with pytest.raises(PageNotFoundError, match="injected"):
                 db.query(0)
         finally:
-            shard0.query = original
+            del shard0.run_batch
         after = db.shard_request_counts()
         assert after[1] == before[1] + 1
         assert after[2] == before[2] + 1

@@ -8,6 +8,7 @@ import pytest
 
 from repro.baselines import make_records
 from repro.core.database import PirDatabase
+from repro.core.engine import BatchOp
 from repro.core.journal import MemoryJournal
 from repro.errors import ConfigurationError, TransientStorageError
 from repro.faults.injector import FaultInjector, transient_writes
@@ -155,6 +156,15 @@ class TestEngineIntegration:
                 "disk.write", "link.ingest", "link.egress"} <= names
         request = tracer.total("request")
         assert request.count == 1 and request.errors == 0
+        assert tracer.active_depth == 0
+        # A multi-op batch is one window: one more "request" root, with
+        # the per-op phases emitted once per op inside it.
+        db.run_batch([BatchOp("query", page_id=i) for i in range(3)])
+        assert tracer.total("request").count == 2
+        for name in ("pagemap.lookup", "cache.op", "evict"):
+            assert tracer.total(name).count == 1 + 3, name
+        for name in ("reencrypt", "journal.seal", "write_back"):
+            assert tracer.total(name).count == 2, name
         assert tracer.active_depth == 0
 
     def test_fine_detail_emits_crypto_spans(self):
