@@ -244,7 +244,7 @@ def _controller_attempt(seed: int) -> Tuple[dict, List[str], List[str]]:
             "ctrl_adjustments": len(controller.adjustments),
             "ctrl_tunables": sorted(touched),
             "ctrl_sheds": sheds,
-            "ctrl_cycles": registry.counter("plan.cycles").value,
+            "ctrl_cycles": registry.count("plan.cycles"),
         }
         return stats, correctness, perf
     finally:

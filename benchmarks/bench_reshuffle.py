@@ -187,8 +187,8 @@ def run_serve_interleaved(db: PirDatabase, records: List[bytes],
 
 
 def check_hit_rate(metrics: MetricsRegistry) -> Tuple[float, List[str]]:
-    hits = metrics.counter("tier.hit").value
-    misses = metrics.counter("tier.miss").value
+    hits = metrics.count("tier.hit")
+    misses = metrics.count("tier.miss")
     rate = hits / (hits + misses) if hits + misses else 0.0
     if rate < MIN_HIT_RATE:
         return rate, [f"hot-tier hit rate {rate:.2%} < {MIN_HIT_RATE:.0%}"]

@@ -378,6 +378,51 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
+def _serving_database(args: argparse.Namespace, registry) -> PirDatabase:
+    """The database behind ``serve`` and ``cluster serve-backend``.
+
+    Long-running servers never read the adversary-view access trace, so it
+    is off: left on, it would retain every request's accesses for the life
+    of the process.
+    """
+    return PirDatabase.create(
+        make_records(args.pages, args.page_size),
+        cache_capacity=args.cache,
+        target_c=args.c,
+        page_capacity=args.page_size,
+        reserve_fraction=0.1,
+        seed=args.seed,
+        metrics=registry,
+        trace_enabled=False,
+    )
+
+
+def _serve_until_drained(args: argparse.Namespace, handle, db: PirDatabase,
+                         registry) -> int:
+    """Serve for ``--duration`` seconds (or until Ctrl-C), then drain and
+    print the ``net.*``/``frontend.*`` counter table."""
+    import time as _time
+
+    try:
+        if args.duration > 0:
+            _time.sleep(args.duration)
+        else:
+            while True:
+                _time.sleep(3600)
+    except KeyboardInterrupt:
+        print("\ndraining...", flush=True)
+    finally:
+        handle.drain()
+        db.close()
+    rows = sorted(
+        (name, value) for name, value in registry.snapshot()["counters"].items()
+        if name.startswith(("net.", "frontend."))
+    )
+    if rows:
+        print(_format_table(["counter", "value"], rows))
+    return 0
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import time as _time
 
@@ -386,15 +431,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .service.frontend import SESSION_RANDOM, QueryFrontend
 
     registry = MetricsRegistry()
-    db = PirDatabase.create(
-        make_records(args.pages, args.page_size),
-        cache_capacity=args.cache,
-        target_c=args.c,
-        page_capacity=args.page_size,
-        reserve_fraction=0.1,
-        seed=args.seed,
-        metrics=registry,
-    )
+    db = _serving_database(args, registry)
     frontend = QueryFrontend(
         db,
         metrics=registry,
@@ -425,25 +462,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     handle = ServerThread(server).start()
     print(f"serving {args.pages} pages on {handle.host}:{handle.port} "
           f"(c={args.c}, workers={args.workers})", flush=True)
-    try:
-        if args.duration > 0:
-            _time.sleep(args.duration)
-        else:
-            while True:
-                _time.sleep(3600)
-    except KeyboardInterrupt:
-        print("\ndraining...", flush=True)
-    finally:
-        handle.drain()
-        db.close()
-    snapshot = registry.snapshot()
-    net_counters = sorted(
-        (name, value) for name, value in snapshot["counters"].items()
-        if name.startswith("net.") or name.startswith("frontend.")
-    )
-    if net_counters:
-        print(_format_table(["counter", "value"], net_counters))
-    return 0
+    return _serve_until_drained(args, handle, db, registry)
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
@@ -496,15 +515,7 @@ def _cmd_cluster_serve_backend(args: argparse.Namespace) -> int:
     from .service.frontend import SESSION_RANDOM, QueryFrontend
 
     registry = MetricsRegistry()
-    db = PirDatabase.create(
-        make_records(args.pages, args.page_size),
-        cache_capacity=args.cache,
-        target_c=args.c,
-        page_capacity=args.page_size,
-        reserve_fraction=0.1,
-        seed=args.seed,
-        metrics=registry,
-    )
+    db = _serving_database(args, registry)
     # Members share --seed so their data is identical, which would make
     # their session-id streams identical too — fatal behind the router
     # (ids must be unique cluster-wide).  Salt each process uniquely
@@ -538,25 +549,7 @@ def _cmd_cluster_serve_backend(args: argparse.Namespace) -> int:
     print(f"cluster backend: {args.pages} pages on "
           f"{handle.host}:{handle.port} (seed={args.seed}, "
           f"session adoption on)", flush=True)
-    try:
-        if args.duration > 0:
-            _time.sleep(args.duration)
-        else:
-            while True:
-                _time.sleep(3600)
-    except KeyboardInterrupt:
-        print("\ndraining...", flush=True)
-    finally:
-        handle.drain()
-        db.close()
-    snapshot = registry.snapshot()
-    rows = sorted(
-        (name, value) for name, value in snapshot["counters"].items()
-        if name.startswith(("net.", "frontend."))
-    )
-    if rows:
-        print(_format_table(["counter", "value"], rows))
-    return 0
+    return _serve_until_drained(args, handle, db, registry)
 
 
 def _cmd_cluster_serve_router(args: argparse.Namespace) -> int:

@@ -27,7 +27,7 @@ a miss falls back to inline computation.
 Memory is bounded by ``max_bytes`` of cached keystream; inserting past
 the bound evicts the oldest entries (``pipeline.evicted`` counts them).
 Counters (``pipeline.hit`` / ``pipeline.miss`` / ``pipeline.prefetched``
-/ ``pipeline.evicted``) mirror into a
+/ ``pipeline.evicted``) are published to a
 :class:`~repro.obs.registry.MetricsRegistry` when one is supplied.
 """
 

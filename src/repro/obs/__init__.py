@@ -5,9 +5,10 @@ Three pieces (DESIGN.md §9):
 * :class:`~repro.obs.tracer.Tracer` — nested, low-overhead spans for the
   canonical query phases, with a no-op fast path when disabled and dual
   wall/virtual timing;
-* :class:`~repro.obs.registry.MetricsRegistry` — the thread-safe,
-  process-wide home for counters, gauges and fixed-bucket histograms,
-  absorbing the ad-hoc :class:`~repro.sim.metrics.CounterSet` instances;
+* :class:`~repro.obs.registry.MetricsRegistry` — the thread-safe read
+  point for a process's metrics: it holds gauges and fixed-bucket
+  histograms, and sums the :class:`~repro.sim.metrics.CounterSet`
+  instances components publish to it (the sets keep the counts);
 * :class:`~repro.obs.costcheck.CostModelCheck` — measured per-phase cost
   against the analytic Eq. 7/8 predictions, as a per-term ratio.
 
@@ -26,12 +27,9 @@ from .export import (
 )
 from .registry import (
     DEFAULT_LATENCY_BUCKETS,
-    Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    global_registry,
-    set_global_registry,
 )
 from .tracer import (
     DETAIL_FINE,
@@ -50,12 +48,9 @@ __all__ = [
     "DETAIL_PHASE",
     "DETAIL_FINE",
     "MetricsRegistry",
-    "Counter",
     "Gauge",
     "Histogram",
     "DEFAULT_LATENCY_BUCKETS",
-    "global_registry",
-    "set_global_registry",
     "CostModelCheck",
     "TermConformance",
     "phase_rows",

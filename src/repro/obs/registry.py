@@ -1,41 +1,48 @@
-"""Process-wide metrics registry: counters, gauges, fixed-bucket histograms.
+"""Process-wide metrics registry: counter totals, gauges, histograms.
 
-The registry is the thread-safe aggregation point that absorbs and
-supersedes the ad-hoc counters scattered through the codebase:
-:class:`~repro.sim.metrics.CounterSet` (engine, frontend, injector, health
-monitor) mirrors into a registry when constructed with one, and
-:class:`~repro.sim.metrics.LatencySeries` mirrors into a registry
-histogram.  New code should talk to the registry directly.
+The registry is the single read point for a process's metrics.  Counts
+are not stored here: each component owns a
+:class:`~repro.sim.metrics.CounterSet` (engine, frontend, injector,
+server, replication, ...) and publishes it once, under a name prefix,
+when it is built.  :meth:`MetricsRegistry.snapshot`, :meth:`rows` and
+:meth:`count` sum every published set by full name whenever they are
+asked, so components that share a prefix (the frontends or sharded
+engines of one cluster) read per instance from their own set and in
+aggregate from the registry.  Gauges and fixed-bucket histograms are
+held by the registry itself.
 
 Naming scheme (DESIGN.md §9): dot-separated ``component.event`` names —
 ``engine.recovery.replayed``, ``frontend.requests``, ``faults.fault.crash``,
-``health.state`` — with per-phase aggregates published under ``phase.<span
-name>`` by :meth:`MetricsRegistry.absorb_tracer`.
+``health.state``.  A name belongs to one kind: using it as a counter and as
+a gauge or histogram raises :class:`~repro.errors.ConfigurationError`.
 
-All instruments are created on first use and are safe to update from
-multiple threads; reads (``snapshot``) are consistent because they take the
-same lock.  A re-entrant lock is used so a callback updating the registry
-from inside ``snapshot`` post-processing cannot deadlock.
+Gauges and histograms are created on first use and are safe to update
+from multiple threads; a re-entrant lock guards them and the list of
+published counter sets, so a callback updating the registry from inside
+``snapshot`` post-processing cannot deadlock.
 """
 
 from __future__ import annotations
 
 import bisect
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Collection, Dict, Iterable, List, Optional, Sequence, Set,
+    Tuple,
+)
 
 from ..errors import ConfigurationError
 
+if TYPE_CHECKING:
+    from ..sim.metrics import CounterSet
+
 __all__ = [
-    "Counter",
     "Gauge",
     "Histogram",
     "HistogramState",
     "quantile_from_counts",
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS",
-    "global_registry",
-    "set_global_registry",
 ]
 
 #: Log-spaced seconds buckets from 1 µs to 100 s — wide enough for both
@@ -45,27 +52,6 @@ DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = tuple(
     for scale in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)
     for base in (1.0, 2.5, 5.0)
 ) + (100.0,)
-
-
-class Counter:
-    """Monotonically increasing named counter."""
-
-    __slots__ = ("name", "_value", "_lock")
-
-    def __init__(self, name: str, lock: threading.RLock):
-        self.name = name
-        self._value = 0
-        self._lock = lock
-
-    def inc(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ConfigurationError("counter increments must be non-negative")
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> int:
-        return self._value
 
 
 class Gauge:
@@ -116,11 +102,11 @@ class HistogramState:
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
 
-    def quantile(self, q: float, interpolate: bool = True) -> float:
+    def quantile(self, q: float) -> float:
         """See :meth:`Histogram.quantile`; operates on the frozen copy."""
         return quantile_from_counts(
             self.buckets, self.counts, self.count, q,
-            minimum=self.min, maximum=self.max, interpolate=interpolate,
+            minimum=self.min, maximum=self.max,
         )
 
     def summary(self) -> Dict[str, float]:
@@ -153,19 +139,16 @@ def quantile_from_counts(
     q: float,
     minimum: float = float("inf"),
     maximum: float = float("-inf"),
-    interpolate: bool = True,
 ) -> float:
     """The q-quantile of a fixed-bucket distribution.
 
-    With ``interpolate=False`` this is the legacy estimator: the upper
-    bound of the bucket containing the q-th observation — systematically
-    *overstating* the quantile by up to a whole bucket width, which on the
-    coarse log-spaced default buckets can be a 2.5x error.  The default
-    interpolates linearly within the containing bucket (rank position
-    between the bucket's bounds) and clamps to the observed ``[min, max]``
-    so a feedback controller steering on p99 reacts to the measured tail,
-    not to the bucket grid.  Observations in the +Inf overflow bucket
-    return ``maximum`` either way (there is no upper bound to lerp to).
+    Interpolates linearly within the bucket containing the q-th
+    observation (rank position between the bucket's bounds) and clamps to
+    the observed ``[min, max]``, so a feedback controller steering on p99
+    reacts to the measured tail, not to the bucket grid (a bucket's upper
+    bound can overstate it 2.5x on the log-spaced default buckets).
+    Observations in the +Inf overflow bucket return ``maximum``: there is
+    no upper bound to interpolate toward.
     """
     if not 0.0 <= q <= 1.0:
         raise ConfigurationError(f"quantile {q} out of [0, 1]")
@@ -180,8 +163,6 @@ def quantile_from_counts(
         if index >= len(buckets):
             return maximum
         upper = buckets[index]
-        if not interpolate:
-            return upper
         lower = buckets[index - 1] if index > 0 else 0.0
         fraction = (rank - (running - bucket_count)) / bucket_count
         value = lower + fraction * (upper - lower)
@@ -195,9 +176,8 @@ class Histogram:
 
     ``buckets`` are inclusive upper bounds in ascending order; observations
     above the last bound land in the implicit +Inf bucket.  Keeps count and
-    sum exactly; quantiles are estimated from the buckets — linearly
-    interpolated within the containing bucket by default, or the legacy
-    bucket-upper-bound estimate with ``interpolate=False``.
+    sum exactly; quantiles are estimated from the buckets, linearly
+    interpolated within the containing bucket.
     """
 
     __slots__ = ("name", "buckets", "counts", "_count", "_sum", "_min",
@@ -255,14 +235,9 @@ class Histogram:
                 self._min, self._max,
             )
 
-    def quantile(self, q: float, interpolate: bool = True) -> float:
-        """The q-quantile (q in [0, 1]) estimated from the buckets.
-
-        Interpolates linearly within the containing bucket by default;
-        ``interpolate=False`` restores the legacy bucket-upper-bound
-        estimate (see :func:`quantile_from_counts`).
-        """
-        return self.state().quantile(q, interpolate=interpolate)
+    def quantile(self, q: float) -> float:
+        """The q-quantile (q in [0, 1]); see :func:`quantile_from_counts`."""
+        return self.state().quantile(q)
 
     def summary(self) -> Dict[str, float]:
         return self.state().summary()
@@ -273,32 +248,25 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Get-or-create registry of named instruments (see module docstring)."""
+    """Gauges, histograms and published counter sets (see module docstring)."""
 
     def __init__(self) -> None:
         self._lock = threading.RLock()
-        self._counters: Dict[str, Counter] = {}
+        self._counter_sets: List[Tuple[str, "CounterSet"]] = []
+        self._counter_names: Set[str] = set()
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
 
     # -- instrument accessors -------------------------------------------------
 
-    def _check_free(self, name: str, own: Dict[str, object]) -> None:
-        for kind, table in (("counter", self._counters),
+    def _check_free(self, name: str, own: Collection[str]) -> None:
+        for kind, table in (("counter", self._counter_names),
                             ("gauge", self._gauges),
                             ("histogram", self._histograms)):
             if table is not own and name in table:
                 raise ConfigurationError(
                     f"metric {name!r} already registered as a {kind}"
                 )
-
-    def counter(self, name: str) -> Counter:
-        with self._lock:
-            instrument = self._counters.get(name)
-            if instrument is None:
-                self._check_free(name, self._counters)
-                instrument = self._counters[name] = Counter(name, self._lock)
-            return instrument
 
     def gauge(self, name: str) -> Gauge:
         with self._lock:
@@ -320,49 +288,54 @@ class MetricsRegistry:
                 )
             return instrument
 
-    # -- absorption of legacy / sibling sources -------------------------------
+    # -- counters: published sets, summed on read -----------------------------
 
-    def absorb_counters(self, counts: Dict[str, int], prefix: str = "") -> None:
-        """Fold a plain name->count mapping in (e.g. ``CounterSet.as_dict()``)."""
-        for name, amount in counts.items():
-            self.counter(prefix + name).inc(amount)
+    def publish(self, counters: "CounterSet", prefix: str) -> None:
+        """Add ``counters`` to the totals, its names under ``prefix``.
 
-    def absorb_tracer(self, tracer, prefix: str = "phase.") -> None:
-        """Publish a tracer's phase totals as ``<prefix><phase>.*`` counters.
-
-        Counters: ``.count``, ``.bytes``, ``.errors``; gauges ``.wall_s``
-        and ``.virtual_s`` (gauges because re-absorbing replaces, not
-        double-counts, the totals).
+        Called once by each set built with ``registry=``; a published set
+        is kept for the registry's life, so totals only ever grow.
         """
-        for name, total in tracer.phase_totals().items():
-            base = prefix + name
-            with self._lock:
-                self.gauge(base + ".wall_s").set(total.wall_seconds)
-                self.gauge(base + ".virtual_s").set(total.virtual_seconds)
-                counter = self.counter(base + ".count")
-                counter.inc(total.count - counter.value)
-                counter = self.counter(base + ".bytes")
-                counter.inc(total.nbytes - counter.value)
-                counter = self.counter(base + ".errors")
-                counter.inc(total.errors - counter.value)
+        with self._lock:
+            self._counter_sets.append((prefix, counters))
+
+    def claim_counter(self, name: str) -> None:
+        """Reserve ``name`` as a counter (a set's first use of the name)."""
+        with self._lock:
+            if name not in self._counter_names:
+                self._check_free(name, self._counter_names)
+                self._counter_names.add(name)
+
+    def count(self, name: str) -> int:
+        """The total of counter ``name`` across every published set."""
+        with self._lock:
+            sets = list(self._counter_sets)
+        return sum(counters.get(name[len(prefix):])
+                   for prefix, counters in sets if name.startswith(prefix))
 
     # -- introspection / export ----------------------------------------------
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
-        """A consistent point-in-time copy of every instrument.
+        """A point-in-time copy of every instrument.
 
-        Holds the registry lock only to copy primitive state (counter and
-        gauge values, raw histogram buckets); the derived histogram
-        summaries are computed and the result dict assembled *outside* the
-        lock, so a sampling loop calling this every interval never stalls
-        the hot observation path behind serialization work.
+        Holds the registry lock only to copy primitive state (gauge
+        values, raw histogram buckets, the list of published counter
+        sets); the counter totals, histogram summaries and result dict
+        are computed *outside* it, so a sampling loop calling this every
+        interval never stalls the hot observation path.  Each set is read
+        under its own lock, so totals are exact and never go backwards
+        between snapshots.
         """
         with self._lock:
-            counters = {n: c.value for n, c in sorted(self._counters.items())}
+            sets = list(self._counter_sets)
             gauges = {n: g.value for n, g in sorted(self._gauges.items())}
             states = {n: h.state() for n, h in sorted(self._histograms.items())}
+        counters: Dict[str, int] = {}
+        for prefix, published in sets:
+            for name, value in published.as_dict().items():
+                counters[prefix + name] = counters.get(prefix + name, 0) + value
         return {
-            "counters": counters,
+            "counters": dict(sorted(counters.items())),
             "gauges": gauges,
             "histograms": {
                 n: dict(s.summary(), buckets=s.nonzero_buckets())
@@ -379,23 +352,3 @@ class MetricsRegistry:
             yield {"kind": "gauge", "name": name, "value": value}
         for name, summary in snap["histograms"].items():
             yield dict({"kind": "histogram", "name": name}, **summary)
-
-
-_GLOBAL: Optional[MetricsRegistry] = None
-_GLOBAL_LOCK = threading.Lock()
-
-
-def global_registry() -> MetricsRegistry:
-    """The process-wide default registry (created on first use)."""
-    global _GLOBAL
-    with _GLOBAL_LOCK:
-        if _GLOBAL is None:
-            _GLOBAL = MetricsRegistry()
-        return _GLOBAL
-
-
-def set_global_registry(registry: Optional[MetricsRegistry]) -> None:
-    """Replace (or clear, with None) the process-wide default registry."""
-    global _GLOBAL
-    with _GLOBAL_LOCK:
-        _GLOBAL = registry

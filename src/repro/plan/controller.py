@@ -161,12 +161,12 @@ class PlanController:
             return None
         return quantile_from_counts(
             state.buckets, counts, count, 0.99,
-            minimum=state.min, maximum=state.max, interpolate=True,
+            minimum=state.min, maximum=state.max,
         )
 
     def _counter_delta(self, name: str) -> int:
         """Windowed increase of one registry counter since the last cycle."""
-        value = self.registry.counter(name).value
+        value = self.registry.count(name)
         before = self._last_counters.get(name, 0)
         self._last_counters[name] = value
         return value - before

@@ -727,8 +727,10 @@ class ClientOperationsMixin:
     channel, :class:`repro.net.client.NetworkClient` over a real TCP
     socket) provide ``_call(message) -> reply`` — one sealed round trip
     including whatever retry discipline the transport supports — plus a
-    ``counters`` :class:`~repro.sim.metrics.CounterSet`; the mixin turns it
-    into the typed query/update/insert/delete/batch API.
+    ``counters`` :class:`~repro.sim.metrics.CounterSet` that is the only
+    store of the client's retry/refusal counts (a client publishes it to
+    no registry); the mixin turns ``_call`` into the typed
+    query/update/insert/delete/batch API.
     """
 
     def _call(

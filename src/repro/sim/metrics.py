@@ -6,19 +6,18 @@ baseline comparisons.  The paper's central empirical claim is about latency
 schemes), so :class:`LatencySeries` keeps the full sample and exposes exact
 order statistics rather than streaming approximations.
 
-Both accumulators can *mirror* into the unified
-:class:`~repro.obs.registry.MetricsRegistry` (see DESIGN.md §9): a
-``CounterSet`` built with ``registry=`` forwards every increment to a
-registry counter under its ``prefix``, and a ``LatencySeries`` built with
-``histogram=`` feeds each sample into a registry histogram.  The legacy
-in-place behaviour is unchanged when neither is supplied; new code should
-prefer the registry directly.
+A :class:`CounterSet` is where a component's counts live.  Built with
+``registry=``, it is published once to the unified
+:class:`~repro.obs.registry.MetricsRegistry` (see DESIGN.md §9), which
+sums the published sets by name whenever it is read; an increment touches
+only the set.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional
+import threading
+from typing import Dict, Iterable, List
 
 from ..errors import ConfigurationError
 
@@ -26,41 +25,30 @@ __all__ = ["LatencySeries", "CounterSet"]
 
 
 class LatencySeries:
-    """Collects per-operation latencies (seconds) and summarises them.
+    """Collects per-operation latencies (seconds) and summarises them."""
 
-    ``histogram`` is an optional sink with an ``observe(value)`` method
-    (e.g. :class:`repro.obs.registry.Histogram`); every accepted sample is
-    forwarded to it.
-    """
-
-    def __init__(self, histogram=None) -> None:
+    def __init__(self) -> None:
         self._samples: List[float] = []
-        self._histogram = histogram
 
     def record(self, latency: float) -> None:
         if latency < 0:
             raise ConfigurationError(f"negative latency {latency}")
         self._samples.append(latency)
-        if self._histogram is not None:
-            self._histogram.observe(latency)
 
     def extend(self, latencies: Iterable[float]) -> None:
         """Record a batch of samples, atomically.
 
         The whole iterable is validated before any sample is committed, so
         a negative latency in the middle of the batch leaves the series
-        (and the mirrored histogram) exactly as it was — previously the
-        leading valid samples were appended and then the error raised,
-        leaving the series partially mutated.
+        exactly as it was — previously the leading valid samples were
+        appended and then the error raised, leaving the series partially
+        mutated.
         """
         values = [float(value) for value in latencies]
         for value in values:
             if value < 0:
                 raise ConfigurationError(f"negative latency {value}")
         self._samples.extend(values)
-        if self._histogram is not None:
-            for value in values:
-                self._histogram.observe(value)
 
     def __len__(self) -> int:
         return len(self._samples)
@@ -127,56 +115,36 @@ class LatencySeries:
 
 
 class CounterSet:
-    """Named monotonically increasing counters.
+    """Named monotonically increasing counters, safe to bump from any thread.
 
-    With ``registry=`` (a :class:`~repro.obs.registry.MetricsRegistry`),
-    every increment is mirrored to ``registry.counter(prefix + name)`` —
-    the migration path that lets the engine, frontend, health monitor and
-    fault injector publish into the unified registry without changing any
-    call site.  ``reset()`` clears only the local counts; the registry's
-    counters are monotonic by contract and keep their values.
+    The set is the only store of its counts.  With ``registry=`` (a
+    :class:`~repro.obs.registry.MetricsRegistry`) it is published to that
+    registry once, under ``prefix``; the registry reads it when asked for a
+    snapshot and never holds a copy.  Sets sharing a registry and prefix
+    stay separate here (``get`` is per instance) and are summed there.
     """
 
     def __init__(self, registry=None, prefix: str = "") -> None:
         self._counts: Dict[str, int] = {}
+        self._lock = threading.Lock()
         self._registry = registry
         self._prefix = prefix
+        if registry is not None:
+            registry.publish(self, prefix)
 
     def increment(self, name: str, amount: int = 1) -> None:
         if amount < 0:
             raise ConfigurationError("counter increments must be non-negative")
-        self._counts[name] = self._counts.get(name, 0) + amount
-        if self._registry is not None:
-            self._registry.counter(self._prefix + name).inc(amount)
+        if self._registry is not None and name not in self._counts:
+            # First use of a name: let the registry refuse a collision
+            # with one of its gauges or histograms.
+            self._registry.claim_counter(self._prefix + name)
+        with self._lock:
+            self._counts[name] = self._counts.get(name, 0) + amount
 
     def get(self, name: str) -> int:
         return self._counts.get(name, 0)
 
     def as_dict(self) -> Dict[str, int]:
-        return dict(self._counts)
-
-    def merge(self, other: "CounterSet", prefix: str = "") -> None:
-        """Fold another counter set into this one, optionally namespaced.
-
-        Used to aggregate per-component fault/retry/health counters (engine,
-        injector, frontend, client) into one report:
-        ``totals.merge(engine.counters, prefix="engine.")``.
-        """
-        for name, amount in other.as_dict().items():
-            self.increment(prefix + name, amount)
-
-    def bind_registry(self, registry, prefix: Optional[str] = None) -> None:
-        """Start mirroring future increments into ``registry``.
-
-        Existing local counts are folded in immediately so the registry
-        view is complete from the moment of binding.
-        """
-        self._registry = registry
-        if prefix is not None:
-            self._prefix = prefix
-        if registry is not None:
-            for name, amount in self._counts.items():
-                registry.counter(self._prefix + name).inc(amount)
-
-    def reset(self) -> None:
-        self._counts.clear()
+        with self._lock:
+            return dict(self._counts)

@@ -76,8 +76,8 @@ class TieredDiskStore:
         from the cold store (torn trailing records are discarded, the
         same tail-trust rule as the replication backlog).
     metrics:
-        Optional :class:`~repro.obs.registry.MetricsRegistry` mirroring
-        the ``tier.*`` counters.
+        Optional :class:`~repro.obs.registry.MetricsRegistry` the
+        ``tier.*`` counters are published to.
     """
 
     def __init__(

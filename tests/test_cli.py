@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import main
+from repro.baselines import make_records
+from repro.cli import _build_parser, _serving_database, main
+from repro.obs import MetricsRegistry
 
 
 class TestSolve:
@@ -68,6 +70,31 @@ class TestDemo:
         out = capsys.readouterr().out
         assert "consistency check passed" in out
         assert "trace uniform: True" in out
+
+
+class TestServe:
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--pages", "24", "--page-size", "32"],
+        ["cluster", "serve-backend", "--pages", "24", "--page-size", "32"],
+    ])
+    def test_serving_database_keeps_no_access_trace(self, argv):
+        args = _build_parser().parse_args(argv)
+        db = _serving_database(args, MetricsRegistry())
+        try:
+            records = make_records(24, 32)
+            for page_id in (0, 5, 23, 5):
+                assert db.query(page_id) == records[page_id]
+            assert db.engine.counters.get("requests") == 4
+            assert len(db.trace) == 0
+        finally:
+            db.close()
+
+    def test_serve_drains_and_prints_counters(self, capsys):
+        assert main(["serve", "--port", "0", "--pages", "16",
+                     "--duration", "0.05"]) == 0
+        out = capsys.readouterr().out
+        assert "serving 16 pages" in out
+        assert "net.drains" in out
 
 
 class TestReport:

@@ -1,7 +1,8 @@
-"""MetricsRegistry instruments, CounterSet/LatencySeries mirroring, export."""
+"""MetricsRegistry instruments, published CounterSets, export."""
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -11,11 +12,9 @@ from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
     MetricsRegistry,
     Tracer,
-    global_registry,
     read_jsonl,
     rows_by_kind,
     run_rows,
-    set_global_registry,
     write_jsonl,
 )
 from repro.sim.metrics import CounterSet, LatencySeries
@@ -24,16 +23,20 @@ from repro.sim.metrics import CounterSet, LatencySeries
 class TestInstruments:
     def test_counter_get_or_create_and_inc(self):
         registry = MetricsRegistry()
-        counter = registry.counter("engine.requests")
-        counter.inc()
-        counter.inc(4)
-        assert registry.counter("engine.requests") is counter
-        assert counter.value == 5
+        assert registry.count("engine.requests") == 0
+        counters = CounterSet(registry=registry, prefix="engine.")
+        counters.increment("requests")
+        counters.increment("requests", 4)
+        assert counters.get("requests") == 5
+        assert registry.count("engine.requests") == 5
+        assert registry.snapshot()["counters"] == {"engine.requests": 5}
 
     def test_counter_rejects_negative(self):
         registry = MetricsRegistry()
+        counters = CounterSet(registry=registry)
         with pytest.raises(ConfigurationError):
-            registry.counter("x").inc(-1)
+            counters.increment("x", -1)
+        assert registry.snapshot()["counters"] == {}
 
     def test_gauge_set_and_add(self):
         registry = MetricsRegistry()
@@ -57,20 +60,18 @@ class TestInstruments:
         assert hist.nonzero_buckets() == [("0.1", 1), ("1", 2), ("10", 1)]
 
     def test_quantile_interpolation_vs_legacy_upper_bound(self):
-        # Regression pin for both estimators.  Values 0.05, 0.5, 0.5, 5.0
-        # on buckets [0.1, 1, 10]: the median rank (2) lands in (0.1, 1]
-        # as rank 1 of 2 -> lerp 0.1 + 0.5 * (1 - 0.1) = 0.55, while the
-        # legacy mode returns the bucket's upper bound, 1.0.
+        # Regression pin for the interpolated estimator.  Values 0.05,
+        # 0.5, 0.5, 5.0 on buckets [0.1, 1, 10]: the median rank (2) lands
+        # in (0.1, 1] as rank 1 of 2 -> lerp 0.1 + 0.5 * (1 - 0.1) = 0.55,
+        # not the bucket's upper bound, 1.0.
         registry = MetricsRegistry()
         hist = registry.histogram("latency", buckets=[0.1, 1.0, 10.0])
         for value in (0.05, 0.5, 0.5, 5.0):
             hist.observe(value)
         assert hist.quantile(0.5) == pytest.approx(0.55)
-        assert hist.quantile(0.5, interpolate=False) == pytest.approx(1.0)
         # Interpolation clamps to the observed extremes: the last bucket
         # lerps toward 10.0 but no sample exceeds 5.0.
         assert hist.quantile(1.0) == pytest.approx(5.0)
-        assert hist.quantile(1.0, interpolate=False) == pytest.approx(10.0)
         # And a single-sample bucket clamps up to the observed minimum.
         low = registry.histogram("low", buckets=[10.0])
         low.observe(9.0)
@@ -96,11 +97,9 @@ class TestInstruments:
         hist = registry.histogram("t", buckets=[1.0])
         hist.observe(50.0)
         assert hist.nonzero_buckets() == [("+Inf", 1)]
-        # Overflow has no upper bound to interpolate toward: both modes
-        # report the observed maximum... except legacy mode, which has no
-        # better answer than max either.
+        # Overflow has no upper bound to interpolate toward: the observed
+        # maximum is the answer.
         assert hist.quantile(1.0) == pytest.approx(50.0)
-        assert hist.quantile(1.0, interpolate=False) == pytest.approx(50.0)
 
     def test_histogram_invalid_buckets(self):
         registry = MetricsRegistry()
@@ -118,15 +117,24 @@ class TestInstruments:
 
     def test_type_collision_raises(self):
         registry = MetricsRegistry()
-        registry.counter("name")
+        counters = CounterSet(registry=registry, prefix="a.")
+        counters.increment("name")
         with pytest.raises(ConfigurationError):
-            registry.gauge("name")
+            registry.gauge("a.name")
         with pytest.raises(ConfigurationError):
-            registry.histogram("name")
+            registry.histogram("a.name")
+        # The other way round: a set's first use of a gauge's or a
+        # histogram's name is refused and counts nothing.
+        registry.gauge("a.g")
+        registry.histogram("a.h")
+        for taken in ("g", "h"):
+            with pytest.raises(ConfigurationError):
+                counters.increment(taken)
+            assert counters.get(taken) == 0
 
     def test_snapshot_shape(self):
         registry = MetricsRegistry()
-        registry.counter("c").inc(3)
+        CounterSet(registry=registry).increment("c", 3)
         registry.gauge("g").set(7.0)
         registry.histogram("h").observe(0.01)
         snap = registry.snapshot()
@@ -135,21 +143,33 @@ class TestInstruments:
         assert snap["histograms"]["h"]["count"] == 1
 
     def test_thread_safety_exact_totals(self):
+        # 8 threads x 10k increments: two published sets under one prefix
+        # (threads 0-3 share one, 4-7 the other), each exact per instance,
+        # and the registry total exact across both.
         registry = MetricsRegistry()
-        counter = registry.counter("hot")
+        sets = [CounterSet(registry=registry, prefix="w.") for _ in range(2)]
         hist = registry.histogram("hot.h", buckets=[0.5])
 
-        def hammer():
+        def hammer(counters):
             for _ in range(10_000):
-                counter.inc()
+                counters.increment("hot")
                 hist.observe(0.1)
 
-        threads = [threading.Thread(target=hammer) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert counter.value == 80_000
+        threads = [threading.Thread(target=hammer, args=(sets[i // 4],))
+                   for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch often: expose lost updates
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [counters.get("hot") for counters in sets] == [40_000, 40_000]
+        assert registry.count("w.hot") == 80_000
+        assert registry.snapshot()["counters"] == {"w.hot": 80_000}
         assert hist.count == 80_000
         assert hist.sum == pytest.approx(8_000.0)
 
@@ -158,25 +178,26 @@ class TestInstruments:
         # outside it; hammer it from a reader thread while writers mutate
         # every instrument kind and check each snapshot is internally
         # consistent (histogram count == sum of its bucket counts) and
-        # monotone across reads.
+        # that histogram and counter totals are monotone across reads.
         registry = MetricsRegistry()
-        counter = registry.counter("w.c")
+        sets = [CounterSet(registry=registry, prefix="w.") for _ in range(4)]
         gauge = registry.gauge("w.g")
         hist = registry.histogram("w.h", buckets=[0.5, 1.0])
         stop = threading.Event()
 
-        def write():
+        def write(counters):
             while not stop.is_set():
-                counter.inc()
+                counters.increment("c")
                 gauge.add(1.0)
                 hist.observe(0.25)
                 hist.observe(0.75)
 
-        writers = [threading.Thread(target=write) for _ in range(4)]
+        writers = [threading.Thread(target=write, args=(counters,))
+                   for counters in sets]
         for thread in writers:
             thread.start()
         try:
-            last_count = 0
+            last_count = last_total = 0
             for _ in range(200):
                 snap = registry.snapshot()
                 summary = snap["histograms"]["w.h"]
@@ -184,96 +205,57 @@ class TestInstruments:
                 assert summary["count"] == bucketed
                 assert summary["count"] >= last_count
                 last_count = summary["count"]
+                total = snap["counters"].get("w.c", 0)
+                assert total >= last_total
+                last_total = total
         finally:
             stop.set()
             for thread in writers:
                 thread.join()
-        assert registry.snapshot()["counters"]["w.c"] == counter.value
+        assert registry.snapshot()["counters"]["w.c"] == sum(
+            counters.get("c") for counters in sets)
 
     def test_reentrant_update_from_snapshot_postprocessing(self):
         # The registry lock is re-entrant: updating an instrument while
         # holding it (as snapshot post-processing callbacks may) is fine.
         registry = MetricsRegistry()
         with registry._lock:
-            registry.counter("nested").inc()
+            CounterSet(registry=registry).increment("nested")
+            registry.gauge("nested.g").set(1.0)
             assert registry.snapshot()["counters"]["nested"] == 1
 
 
 class TestAbsorption:
-    def test_absorb_counters(self):
-        registry = MetricsRegistry()
-        registry.absorb_counters({"a": 2, "b": 3}, prefix="legacy.")
-        assert registry.counter("legacy.a").value == 2
-        assert registry.counter("legacy.b").value == 3
+    """Component counter sets and latency series next to the registry."""
 
-    def test_absorb_tracer_idempotent(self):
-        tracer = Tracer()
-        with tracer.span("decrypt", nbytes=100):
-            pass
+    def test_shared_prefix_sets_are_summed(self):
+        # Two components sharing a registry and prefix (the frontends or
+        # sharded engines of one cluster): each reads its own count, the
+        # registry reads the sum.
         registry = MetricsRegistry()
-        registry.absorb_tracer(tracer)
-        registry.absorb_tracer(tracer)  # re-absorbing must not double-count
-        assert registry.counter("phase.decrypt.count").value == 1
-        assert registry.counter("phase.decrypt.bytes").value == 100
-        assert registry.counter("phase.decrypt.errors").value == 0
-        assert registry.gauge("phase.decrypt.wall_s").value >= 0.0
-
-    def test_counterset_mirrors_into_registry(self):
-        registry = MetricsRegistry()
-        counters = CounterSet(registry=registry, prefix="engine.")
-        counters.increment("requests", 3)
-        assert counters.get("requests") == 3
-        assert registry.counter("engine.requests").value == 3
-
-    def test_counterset_bind_folds_existing(self):
-        counters = CounterSet()
-        counters.increment("early", 4)
-        registry = MetricsRegistry()
-        counters.bind_registry(registry, prefix="late.")
-        assert registry.counter("late.early").value == 4
-        counters.increment("early")
-        assert registry.counter("late.early").value == 5
-
-    def test_counterset_reset_is_local_only(self):
-        registry = MetricsRegistry()
-        counters = CounterSet(registry=registry)
-        counters.increment("n", 2)
-        counters.reset()
-        assert counters.get("n") == 0
-        # Registry counters are monotonic by contract and keep their value.
-        assert registry.counter("n").value == 2
-
-    def test_latency_series_mirrors_into_histogram(self):
-        registry = MetricsRegistry()
-        series = LatencySeries(histogram=registry.histogram("q"))
-        series.record(0.2)
-        series.extend([0.3, 0.4])
-        assert len(series) == 3
-        assert registry.histogram("q").count == 3
+        first = CounterSet(registry=registry, prefix="net.")
+        second = CounterSet(registry=registry, prefix="net.")
+        first.increment("shed", 2)
+        second.increment("shed", 5)
+        second.increment("replies")
+        assert (first.get("shed"), second.get("shed")) == (2, 5)
+        assert first.get("replies") == 0
+        assert registry.count("net.shed") == 7
+        assert registry.snapshot()["counters"] == {
+            "net.replies": 1, "net.shed": 7,
+        }
+        # A set built without a registry is invisible to it.
+        CounterSet(prefix="net.").increment("shed", 100)
+        assert registry.count("net.shed") == 7
 
     def test_latency_extend_is_atomic(self):
         # Regression: a mid-batch negative latency used to leave the
-        # leading valid samples appended (and mirrored) before raising.
-        registry = MetricsRegistry()
-        series = LatencySeries(histogram=registry.histogram("q"))
+        # leading valid samples appended before raising.
+        series = LatencySeries()
         series.record(0.1)
         with pytest.raises(ConfigurationError):
             series.extend([0.2, -0.5, 0.3])
         assert series.samples == [0.1]
-        assert registry.histogram("q").count == 1
-
-
-class TestGlobalRegistry:
-    def test_global_registry_singleton_and_reset(self):
-        set_global_registry(None)
-        try:
-            first = global_registry()
-            assert global_registry() is first
-            mine = MetricsRegistry()
-            set_global_registry(mine)
-            assert global_registry() is mine
-        finally:
-            set_global_registry(None)
 
 
 class TestExport:
@@ -283,7 +265,7 @@ class TestExport:
             with tracer.span("decrypt", nbytes=32):
                 pass
         registry = MetricsRegistry()
-        registry.counter("engine.requests").inc()
+        CounterSet(registry=registry, prefix="engine.").increment("requests")
         rows = run_rows(tracer, registry, meta={"queries": 1}, spans=True)
         out = tmp_path / "run.jsonl"
         written = write_jsonl(str(out), rows)

@@ -19,6 +19,7 @@ from repro.net.admission import AdmissionController, TokenBucket
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.plan import Guardrail, PlanController
+from repro.sim.metrics import CounterSet
 
 HIST = "engine.query_seconds"
 
@@ -110,7 +111,7 @@ class TestWindowedP99:
         observe(registry, 0.05)
         ctrl.step()
         ctrl.step()
-        assert registry.counter("plan.cycles").value == 2
+        assert registry.count("plan.cycles") == 2
         assert registry.gauge("plan.window_p99").value > 0
 
     def test_step_runs_inside_controller_span(self):
@@ -132,13 +133,13 @@ class TestAdmissionTuning:
         observe(registry, *[0.5] * 10)
         ctrl.step()
         assert admission.bucket.rate == pytest.approx(70.0)
-        assert registry.counter("plan.adjust.admission").value == 1
+        assert registry.count("plan.adjust.admission") == 1
         assert ctrl.adjustments[-1].tunable == "admission"
 
     def test_opens_up_when_shedding_with_idle_latency(self):
         admission = self._admission()
         registry, ctrl = make_controller(admission=admission)
-        registry.counter("net.shed").inc(5)
+        CounterSet(registry=registry, prefix="net.").increment("shed", 5)
         observe(registry, *[0.001] * 10)
         ctrl.step()
         assert admission.bucket.rate == pytest.approx(125.0)
@@ -151,7 +152,7 @@ class TestAdmissionTuning:
         observe(registry, *[0.05] * 10)  # mid-band: no action
         ctrl.step()
         assert admission.bucket.rate == 100.0
-        assert registry.counter("plan.adjust.admission").value == 0
+        assert registry.count("plan.adjust.admission") == 0
         assert ctrl.adjustments == []
 
     def test_guardrail_floor_holds(self):
@@ -170,23 +171,24 @@ class TestAdmissionTuning:
         registry, ctrl = make_controller(admission=admission)
         observe(registry, *[0.5] * 10)
         ctrl.step()  # must not raise
-        assert registry.counter("plan.adjust.admission").value == 0
+        assert registry.count("plan.adjust.admission") == 0
 
 
 class TestPipelineTuning:
     def test_grows_on_miss_pressure(self):
         pipeline = FakePipeline(max_bytes=1 << 20)
         registry, ctrl = make_controller(pipeline=pipeline)
-        registry.counter("pipeline.miss").inc(80)
-        registry.counter("pipeline.hit").inc(20)
+        counters = CounterSet(registry=registry, prefix="pipeline.")
+        counters.increment("miss", 80)
+        counters.increment("hit", 20)
         ctrl.step()
         assert pipeline.max_bytes == 2 << 20
-        assert registry.counter("plan.adjust.pipeline").value == 1
+        assert registry.count("plan.adjust.pipeline") == 1
 
     def test_shrinks_when_overprovisioned(self):
         pipeline = FakePipeline(max_bytes=1 << 20, cached_bytes=1000)
         registry, ctrl = make_controller(pipeline=pipeline)
-        registry.counter("pipeline.hit").inc(100)
+        CounterSet(registry=registry, prefix="pipeline.").increment("hit", 100)
         ctrl.step()
         assert pipeline.max_bytes == 1 << 19
 
@@ -202,8 +204,9 @@ class TestPipelineTuning:
             pipeline=pipeline,
             pipeline_guardrail=Guardrail(64 * 1024, 1 << 21),
         )
+        counters = CounterSet(registry=registry, prefix="pipeline.")
         for _ in range(4):
-            registry.counter("pipeline.miss").inc(100)
+            counters.increment("miss", 100)
             ctrl.step()
         assert pipeline.max_bytes == 1 << 21
 
@@ -216,7 +219,7 @@ class TestReshuffleTuning:
         ctrl.step()
         assert reshuffler.batch_size == 16
         assert reshuffler.idle_interval == pytest.approx(0.005)
-        assert registry.counter("plan.adjust.reshuffle").value == 1
+        assert registry.count("plan.adjust.reshuffle") == 1
 
     def test_backs_off_near_the_target(self):
         reshuffler = FakeReshuffler(batch_size=8, idle_interval=0.01)
@@ -273,10 +276,12 @@ class TestPrivacyFreeze:
         registry, ctrl = make_controller(
             admission=admission, pipeline=pipeline, reshuffler=reshuffler
         )
+        net = CounterSet(registry=registry, prefix="net.")
+        keystream = CounterSet(registry=registry, prefix="pipeline.")
         # Slam every decision branch: breach, idle, sheds, misses.
         for values in ([0.5] * 20, [0.001] * 20, [0.095] * 20):
-            registry.counter("net.shed").inc(3)
-            registry.counter("pipeline.miss").inc(50)
+            net.increment("shed", 3)
+            keystream.increment("miss", 50)
             observe(registry, *values)
             ctrl.step()
         assert len(ctrl.adjustments) >= 3
@@ -295,13 +300,13 @@ class TestLifecycle:
         observe(registry, *[0.05] * 10)
         with ctrl.start():
             deadline = time.time() + 2.0
-            while (registry.counter("plan.cycles").value < 3
+            while (registry.count("plan.cycles") < 3
                    and time.time() < deadline):
                 time.sleep(0.005)
-        cycles = registry.counter("plan.cycles").value
+        cycles = registry.count("plan.cycles")
         assert cycles >= 3
         time.sleep(0.03)
-        assert registry.counter("plan.cycles").value == cycles
+        assert registry.count("plan.cycles") == cycles
 
     def test_close_is_idempotent_and_step_survives(self):
         registry, ctrl = make_controller()

@@ -98,12 +98,13 @@ class TestCounterSet:
         assert counters.get("x") == 5
         assert counters.get("missing") == 0
 
-    def test_as_dict_and_reset(self):
+    def test_as_dict(self):
         counters = CounterSet()
         counters.increment("a", 2)
-        assert counters.as_dict() == {"a": 2}
-        counters.reset()
-        assert counters.as_dict() == {}
+        snapshot = counters.as_dict()
+        assert snapshot == {"a": 2}
+        counters.increment("a")
+        assert snapshot == {"a": 2}  # a copy, not a live view
 
     def test_negative_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -86,8 +86,8 @@ class TestTieredBasics:
         tier = TieredDiskStore(make_cold(), hot_capacity=2, metrics=metrics)
         tier.write(0, frame_of(1))
         tier.read(0)
-        assert metrics.counter("tier.promote").value == 1
-        assert metrics.counter("tier.hit").value == 1
+        assert metrics.count("tier.promote") == 1
+        assert metrics.count("tier.hit") == 1
 
 
 class TestTraceAndTiming:
@@ -174,7 +174,7 @@ class TestDatabaseIntegration:
                 assert db.query(i % db.num_pages) == \
                     baseline.query(i % baseline.num_pages)
             db.consistency_check()
-            assert metrics.counter("tier.hit").value > 0
+            assert metrics.count("tier.hit") > 0
             # The trace is recorded by the cold store and byte-identical
             # to the untiered run's (placement never shapes the sequence).
             assert same_shape(db.trace, baseline.trace)
