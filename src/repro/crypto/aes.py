@@ -31,19 +31,16 @@ import threading
 from collections import OrderedDict
 from typing import List, Optional, Tuple
 
-from ..errors import CryptoError
+import numpy as _np
 
-try:  # optional: vectorises large batches; the int path needs nothing
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
+from ..errors import CryptoError
 
 __all__ = ["AES", "BLOCK_SIZE", "set_default_accel", "default_accel"]
 
 BLOCK_SIZE = 16  # bytes; AES always operates on 128-bit blocks
 
-#: Batches at least this many blocks long take the numpy lane (when numpy
-#: is importable): below it, per-call array overhead beats the gain.
+#: Batches at least this many blocks long take the numpy lane: below it,
+#: per-call array overhead beats the gain.
 VECTOR_THRESHOLD_BLOCKS = 16
 
 # ---------------------------------------------------------------------------
@@ -343,10 +340,10 @@ class AES:
         message instead of one ``encrypt_block`` call — with its argument
         checks and bytes round-trips — per 16-byte block.  Batches of at
         least :data:`VECTOR_THRESHOLD_BLOCKS` blocks additionally run the
-        rounds as numpy uint32 array ops over all blocks at once (when
-        numpy is importable).  Output is byte-identical across the
-        reference, int T-table and vectorised paths — all integer
-        arithmetic, proven by the differential suite.
+        rounds as numpy uint32 array ops over all blocks at once.  Output
+        is byte-identical across the reference, int T-table and
+        vectorised paths — all integer arithmetic, proven by the
+        differential suite.
         """
         length = len(data)
         if length % BLOCK_SIZE:
@@ -362,7 +359,7 @@ class AES:
                 for offset in range(0, length, BLOCK_SIZE)
             )
         count = length // BLOCK_SIZE
-        if _np is not None and count >= VECTOR_THRESHOLD_BLOCKS:
+        if count >= VECTOR_THRESHOLD_BLOCKS:
             return self._encrypt_blocks_vector(data, count)
         words = struct.unpack(f">{4 * count}I", data)
         out: List[int] = []

@@ -78,7 +78,7 @@ def ctr_keystream(
     Exposed separately from :func:`ctr_transform` so batched callers
     (:meth:`repro.crypto.suite.CipherSuite.encrypt_pages`) can concatenate
     the keystreams of many frames and XOR them against the payloads in a
-    single big-int operation; the per-block expansion — and therefore the
+    single numpy operation; the per-block expansion — and therefore the
     bytes produced — is identical to the transform path.  The keyed
     ``cipher`` carries its round keys, so a batch shares one key schedule.
     """

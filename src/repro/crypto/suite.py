@@ -6,11 +6,14 @@ encrypted *frames* and back:
 ``frame = nonce (12B) || ciphertext || tag (16B)``
 
 with encrypt-then-MAC (HMAC-SHA256 truncated to 128 bits over nonce plus
-ciphertext).  A fresh random nonce is drawn for every encryption, which is
-what makes the re-encryption in Figure 3 line 21 produce ciphertexts the
-server cannot link across writes.
+ciphertext).  The MAC key is derived under a label that names the backend,
+so a frame sealed by one backend (or by an older keystream of the same
+name) fails verification under another instead of decrypting to garbage.
+A fresh random nonce is drawn for every encryption, which is what makes
+the re-encryption in Figure 3 line 21 produce ciphertexts the server
+cannot link across writes.
 
-Three keystream backends are provided:
+Four keystream backends are provided:
 
 ``aes``
     Real AES-128-CTR from :mod:`repro.crypto.aes` — the paper's cipher.
@@ -18,9 +21,13 @@ Three keystream backends are provided:
     NIST vectors.  Runs the T-table fast kernel by default (byte-identical
     to the FIPS-197 reference; ``REPRO_AES_ACCEL=0`` forces reference).
 ``blake2``
-    Keyed BLAKE2b in counter mode (via ``hashlib``, i.e. C speed).  Same
-    security contract for the purposes of this system (a PRF-based stream
-    cipher), ~100x faster; the recommended backend for large simulations.
+    One keyed-BLAKE2b call per frame turns the nonce into a 64-byte seed,
+    and SHAKE-256 expands that seed into the frame's whole keystream:
+    ``SHAKE-256(BLAKE2b_K(nonce)).digest(length)`` (both via ``hashlib``,
+    i.e. C speed).  The key enters only BLAKE2b, a PRF; SHAKE is a public
+    expander.  Same security contract for the purposes of this system (a
+    PRF-based stream cipher), far faster than ``aes``; the recommended
+    backend for large simulations.
 ``null``
     Identity transform, still MAC'd.  For experiments that only study the
     *access pattern* (privacy measurements), where byte confidentiality is
@@ -45,8 +52,7 @@ process a whole multi-frame batch per call:
   like the equivalent sequence of single-frame calls — batch and serial
   paths produce **byte-identical frames**),
 * the keystream of every frame is materialised and the concatenated batch
-  is XORed against the concatenated payloads in a *single* big-int
-  operation,
+  is XORed against the concatenated payloads in a *single* numpy XOR,
 * MAC tags are computed/verified from precomputed HMAC pad states (the
   SHA-256 of the inner/outer key pads is hashed once per suite, then
   ``copy()``-ed per frame), and batched verification checks every tag
@@ -62,7 +68,10 @@ process a whole multi-frame batch per call:
 from __future__ import annotations
 
 import hashlib
+import hmac
 from typing import List, Optional, Sequence
+
+import numpy as np
 
 from .aes import AES
 from .kdf import derive_key
@@ -78,15 +87,16 @@ __all__ = ["CipherSuite", "FRAME_OVERHEAD", "BACKENDS"]
 FRAME_OVERHEAD = NONCE_SIZE + TAG_SIZE
 BACKENDS = ("aes", "blake2", "null", "pure")
 
-_BLAKE_BLOCK = 64  # output bytes per keyed-BLAKE2b call
+_BLAKE_SEED = 64  # bytes of keyed-BLAKE2b output that seed SHAKE-256
 _HMAC_BLOCK = 64  # SHA-256 block size (HMAC pad width)
 
 
 def _xor_bytes(data: bytes, keystream: bytes) -> bytes:
-    """XOR equal-length byte strings via one big-int operation."""
-    return (
-        int.from_bytes(data, "little") ^ int.from_bytes(keystream, "little")
-    ).to_bytes(len(data), "little")
+    """XOR equal-length byte strings via one numpy operation."""
+    return np.bitwise_xor(
+        np.frombuffer(data, dtype=np.uint8),
+        np.frombuffer(keystream, dtype=np.uint8),
+    ).tobytes()
 
 
 class CipherSuite:
@@ -119,7 +129,11 @@ class CipherSuite:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._fine = self.tracer.fine
         self._enc_key = derive_key(master_key, "page-encryption", 16)
-        self._mac_key = derive_key(master_key, "page-authentication", 32)
+        # The backend is part of the MAC key's label: a frame sealed under
+        # another keystream is refused instead of decrypting to garbage.
+        self._mac_key = derive_key(
+            master_key, f"page-authentication/{backend}", 32
+        )
         # for_key caches keyed instances process-wide, so the legacy-key
         # suite kept alive during a rotation (and any suite re-derived for
         # the same master key) reuses an existing key schedule instead of
@@ -134,10 +148,10 @@ class CipherSuite:
         # consulting for them would just pollute the miss counter).
         self.pipeline = None
         # Keyed-BLAKE2b absorbs its key block at construction; copying the
-        # base state per keystream block skips that work (byte-identical
-        # output to a one-shot keyed hash).
+        # base state per frame skips that work (byte-identical output to a
+        # one-shot keyed hash).
         self._blake_base = (
-            hashlib.blake2b(key=self._enc_key, digest_size=_BLAKE_BLOCK)
+            hashlib.blake2b(key=self._enc_key, digest_size=_BLAKE_SEED)
             if backend == "blake2" else None
         )
         # The pure backend authenticates with the repository's own SHA-256
@@ -193,17 +207,12 @@ class CipherSuite:
         if self.backend == "pure":
             # purestack only exposes the XOR form; stream against zeros.
             return pure_keystream_xor(self._enc_key, nonce, bytes(length))
-        # blake2: keystream block i = BLAKE2b(key=enc_key, data=nonce||i),
-        # derived from the shared pre-keyed base state.
+        # blake2: SHAKE-256(BLAKE2b(key=enc_key, data=nonce)), one call of
+        # each kernel per frame; the seed comes from the pre-keyed base.
         assert self._blake_base is not None
-        base = self._blake_base
-        blocks = (length + _BLAKE_BLOCK - 1) // _BLAKE_BLOCK
-        parts = []
-        for block_index in range(blocks):
-            h = base.copy()
-            h.update(nonce + block_index.to_bytes(8, "big"))
-            parts.append(h.digest())
-        return b"".join(parts)[:length]
+        seed = self._blake_base.copy()
+        seed.update(nonce)
+        return hashlib.shake_256(seed.digest()).digest(length)
 
     def _keystream_xor(self, nonce: bytes, data: bytes, consult: bool = False) -> bytes:
         if self.backend == "null":
@@ -266,10 +275,7 @@ class CipherSuite:
                 expected = self._tag(nonce + ciphertext)
         else:
             expected = self._tag(nonce + ciphertext)
-        diff = 0
-        for a, b in zip(expected, tag):
-            diff |= a ^ b
-        if diff != 0 or len(tag) != TAG_SIZE:
+        if not hmac.compare_digest(expected, tag):
             raise AuthenticationError("page frame failed MAC verification")
         if self._fine:
             with self.tracer.fine_span("crypto.keystream", nbytes=len(ciphertext)):
@@ -352,15 +358,13 @@ class CipherSuite:
                 )
             nonces.append(frame[:NONCE_SIZE])
             ciphertexts.append(frame[NONCE_SIZE : len(frame) - TAG_SIZE])
-        failed: List[int] = []
-        for index, frame in enumerate(frames):
-            expected = self._tag(frame[: len(frame) - TAG_SIZE])
-            tag = frame[len(frame) - TAG_SIZE :]
-            diff = 0
-            for a, b in zip(expected, tag):
-                diff |= a ^ b
-            if diff != 0:
-                failed.append(index)
+        failed = [
+            index for index, frame in enumerate(frames)
+            if not hmac.compare_digest(
+                self._tag(frame[: len(frame) - TAG_SIZE]),
+                frame[len(frame) - TAG_SIZE :],
+            )
+        ]
         if failed:
             raise AuthenticationError(
                 f"frame(s) {failed} of batch of {len(frames)} failed MAC "
@@ -379,7 +383,7 @@ class CipherSuite:
         """XOR each payload with its frame keystream, batch-wide.
 
         The per-frame keystreams are concatenated and applied with one
-        big-int XOR over the whole batch, then sliced back per frame.
+        numpy XOR over the whole batch, then sliced back per frame.
         With ``consult`` the attached prefetch pipeline is asked for each
         frame's keystream first; only misses are computed inline.  On the
         aes backend all missing frames' counter blocks go through one

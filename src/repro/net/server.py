@@ -381,9 +381,12 @@ class PirServer:
                 self._publish_sessions()
             self.counters.increment("connections.closed")
             writer.close()
+            # Drain's cancellation can land while the close is awaited; it
+            # must not escape, or the discard below is skipped and asyncio's
+            # connection callback logs the cancelled task as an error.
             try:
                 await writer.wait_closed()
-            except Exception:
+            except (Exception, asyncio.CancelledError):
                 pass
             self._conn_tasks.discard(task)
 

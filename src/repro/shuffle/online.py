@@ -184,7 +184,16 @@ class OnlineReshuffler:
         self.idle_interval = idle_interval
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
-        self.counters = CounterSet(registry=metrics, prefix="reshuffle.")
+        # Like the epoch counter below, the counters are database-global:
+        # each epoch's driver reuses the set its predecessor published to
+        # the same registry, so a server running epochs for days keeps one
+        # published reshuffle set, not one per epoch.
+        stash = getattr(database, "_reshuffle_counters", None)
+        if stash is None or stash[0] is not metrics:
+            stash = (metrics, CounterSet(registry=metrics,
+                                         prefix="reshuffle."))
+            database._reshuffle_counters = stash
+        self.counters = stash[1]
         self._gauge = metrics.gauge("reshuffle.progress") if metrics else None
 
         n = self.engine.params.num_locations

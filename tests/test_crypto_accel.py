@@ -53,7 +53,7 @@ def test_encrypt_blocks_differential_all_lanes(key_size):
         ref = AES(key, accel=False)
         fast = AES(key, accel=True)
         # Below the threshold exercises the int lane, above it the numpy
-        # lane (when numpy is importable); both must match the reference.
+        # lane; both must match the reference.
         for count in (1, 2, VECTOR_THRESHOLD_BLOCKS - 1,
                       VECTOR_THRESHOLD_BLOCKS, 3 * VECTOR_THRESHOLD_BLOCKS + 5):
             data = rng.randbytes(16 * count)

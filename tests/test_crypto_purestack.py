@@ -74,11 +74,14 @@ class TestPureSuiteBackend:
     def test_cross_backend_keystreams_differ(self):
         pure = CipherSuite(b"master", backend="pure", rng=SecureRandom(3))
         blake = CipherSuite(b"master", backend="blake2", rng=SecureRandom(3))
-        frame = pure.encrypt_page(b"hello")
-        # Identical HMAC construction means the tag verifies under the same
-        # master key, but the keystreams differ, so the bytes come out wrong
-        # — backends are a configuration, not an interop surface.
-        assert blake.decrypt_page(frame) != b"hello"
+        nonce = bytes(12)
+        assert pure.compute_keystream(nonce, 64) != \
+            blake.compute_keystream(nonce, 64)
+        # The MAC key's label names the backend, so a frame sealed under
+        # another keystream is refused rather than decrypted to garbage —
+        # backends are a configuration, not an interop surface.
+        with pytest.raises(AuthenticationError):
+            blake.decrypt_page(pure.encrypt_page(b"hello"))
 
     def test_full_database_on_pure_stack(self):
         """The whole system runs with zero stdlib crypto."""

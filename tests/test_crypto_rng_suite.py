@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import hmac
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +13,14 @@ from hypothesis import strategies as st
 from repro.crypto.rng import SecureRandom
 from repro.crypto.suite import BACKENDS, FRAME_OVERHEAD, CipherSuite
 from repro.errors import AuthenticationError, CryptoError
+
+
+def _hkdf(master: bytes, label: bytes, length: int) -> bytes:
+    """The suite's HKDF-SHA256 subkey derivation, from stdlib hmac alone
+    (one expand block covers every length used here)."""
+    prk = hmac.new(b"repro-secure-hardware-pir", master, hashlib.sha256)
+    return hmac.new(prk.digest(), label + b"\x01",
+                    hashlib.sha256).digest()[:length]
 
 
 class TestSecureRandom:
@@ -142,13 +154,58 @@ class TestCipherSuite:
             two.decrypt_page(one.encrypt_page(b"hello"))
 
     def test_aes_and_blake2_interop_is_refused(self):
-        """Different backends produce incompatible ciphertexts (same MAC key,
-        so decryption succeeds only if the keystream matches)."""
-        aes = CipherSuite(b"master", backend="aes", rng=SecureRandom(8))
-        blake = CipherSuite(b"master", backend="blake2", rng=SecureRandom(8))
-        frame = aes.encrypt_page(b"payload-123")
-        # Same MAC key means the frame authenticates, but plaintext differs.
-        assert blake.decrypt_page(frame) != b"payload-123"
+        """A frame sealed by one backend fails MAC verification under any
+        other: the MAC key's label names the backend, so a mismatched
+        keystream is refused instead of decrypting to garbage."""
+        for sealer, opener in itertools.permutations(BACKENDS, 2):
+            seal = CipherSuite(b"master", backend=sealer, rng=SecureRandom(8))
+            open_ = CipherSuite(b"master", backend=opener, rng=SecureRandom(8))
+            frame = seal.encrypt_page(b"payload-123")
+            with pytest.raises(AuthenticationError):
+                open_.decrypt_page(frame)
+            with pytest.raises(AuthenticationError):
+                open_.decrypt_pages([frame])
+
+    def test_blake2_frame_known_answer(self):
+        """The blake2 frame, rebuilt from stdlib primitives alone:
+        keystream = SHAKE-256(BLAKE2b_K(nonce)), tag = HMAC-SHA256 under
+        the backend-labelled MAC key, truncated to 16 bytes."""
+        nonce = bytes(range(12))
+        plaintext = bytes(range(256)) * 4 + b"tail"
+        enc_key = _hkdf(b"master", b"page-encryption", 16)
+        mac_key = _hkdf(b"master", b"page-authentication/blake2", 32)
+        seed = hashlib.blake2b(nonce, key=enc_key, digest_size=64).digest()
+        keystream = hashlib.shake_256(seed).digest(len(plaintext))
+        ciphertext = bytes(a ^ b for a, b in zip(plaintext, keystream))
+        tag = hmac.new(mac_key, nonce + ciphertext, hashlib.sha256).digest()
+        expected = nonce + ciphertext + tag[:16]
+        suite = CipherSuite(b"master", backend="blake2", rng=SecureRandom(8))
+        assert suite.compute_keystream(nonce, len(plaintext)) == keystream
+        assert suite.encrypt_page(plaintext, nonce) == expected
+        assert suite.encrypt_pages([plaintext], [nonce]) == [expected]
+        assert suite.decrypt_page(expected) == plaintext
+
+    def test_frame_from_the_per_block_blake2_keystream_is_refused(self):
+        """A frame sealed the earlier blake2 way — one keyed-BLAKE2b call
+        per 64 keystream bytes over nonce || 8-byte counter, MAC key
+        labelled without the backend — must not open."""
+        nonce = bytes(range(12))
+        plaintext = b"sealed before the keystream changed" * 8
+        enc_key = _hkdf(b"master", b"page-encryption", 16)
+        old_mac_key = _hkdf(b"master", b"page-authentication", 32)
+        keystream = b"".join(
+            hashlib.blake2b(nonce + block.to_bytes(8, "big"), key=enc_key,
+                            digest_size=64).digest()
+            for block in range((len(plaintext) + 63) // 64)
+        )
+        ciphertext = bytes(a ^ b for a, b in zip(plaintext, keystream))
+        tag = hmac.new(old_mac_key, nonce + ciphertext,
+                       hashlib.sha256).digest()[:16]
+        suite = CipherSuite(b"master", backend="blake2", rng=SecureRandom(8))
+        with pytest.raises(AuthenticationError):
+            suite.decrypt_page(nonce + ciphertext + tag)
+        with pytest.raises(AuthenticationError):
+            suite.decrypt_pages([nonce + ciphertext + tag])
 
     def test_explicit_nonce_is_testable(self):
         suite = CipherSuite(b"master", backend="blake2", rng=SecureRandom(9))

@@ -1,6 +1,8 @@
 """Loopback integration tests for the TCP serving stack (repro.net)."""
 
+import asyncio
 import contextlib
+import logging
 import threading
 import time
 
@@ -250,6 +252,38 @@ class TestGracefulDrain:
             # And the listener is gone: new connections fail outright.
             with pytest.raises(TransientChannelError):
                 NetworkClient(handle.host, handle.port, timeout=2.0)
+
+    def test_drain_with_idle_client_leaves_no_connection_task(self, caplog):
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        with serving() as (db, frontend, server, handle):
+            client = NetworkClient(handle.host, handle.port)
+            assert client.query(0) == RECORDS[0]
+            handle.drain()  # the client sits idle on its open connection
+            client.close()
+        assert server._conn_tasks == set()
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+
+    def test_cancel_during_close_still_discards_task(self, caplog,
+                                                     monkeypatch):
+        """Drain's cancellation landing while a connection awaits its own
+        close must not escape: the task is discarded and ends quietly."""
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        closing = threading.Event()
+
+        async def slow_wait_closed(writer):
+            closing.set()
+            await asyncio.Event().wait()  # a peer that never finishes
+
+        monkeypatch.setattr(asyncio.StreamWriter, "wait_closed",
+                            slow_wait_closed)
+        with serving() as (db, frontend, server, handle):
+            client = NetworkClient(handle.host, handle.port)
+            assert client.query(0) == RECORDS[0]
+            client.close()
+            assert closing.wait(timeout=30)
+            handle.drain(timeout=30)
+        assert server._conn_tasks == set()
+        assert not [r for r in caplog.records if r.name == "asyncio"]
 
     def test_requests_after_drain_are_refused_retryably(self):
         with serving() as (db, frontend, server, handle):

@@ -127,6 +127,23 @@ class TestForegroundEpoch:
         db.close()
 
 
+    def test_epochs_share_one_published_counter_set(self):
+        metrics = MetricsRegistry()
+        db = make_db(seed=21, journal=MemoryJournal(), metrics=metrics)
+        db.begin_reshuffle(batch_size=64, journal=MemoryJournal()).run()
+        sets_after_one = len(metrics._counter_sets)
+        per_epoch = {name: metrics.count(f"reshuffle.{name}")
+                     for name in ("epochs", "epochs.begun", "batches",
+                                  "comparators", "sweeps")}
+        assert per_epoch["epochs"] == 1
+        for _ in range(4):
+            db.begin_reshuffle(batch_size=64, journal=MemoryJournal()).run()
+        assert len(metrics._counter_sets) == sets_after_one
+        for name, count in per_epoch.items():
+            assert metrics.count(f"reshuffle.{name}") == 5 * count
+        db.close()
+
+
 class TestKeyRotationPiggyback:
     def test_rotation_completes_with_the_sweep(self):
         db = make_db(seed=31, journal=MemoryJournal())
